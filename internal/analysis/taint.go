@@ -896,7 +896,7 @@ func (e *taintEngine) checkSinkArgs(st *bodyState, call *ast.CallExpr, desc stri
 
 // sinkArgExprs resolves a sink's argIdx spec against a call: nil means
 // every plain argument; index -1 names the method receiver (the data in
-// req.Encode() is the receiver, not an argument).
+// req.EncodeV2() is the receiver, not an argument).
 func (e *taintEngine) sinkArgExprs(call *ast.CallExpr, argIdx []int) []ast.Expr {
 	if argIdx == nil {
 		return call.Args

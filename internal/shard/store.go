@@ -586,6 +586,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 	var deferred []string
 	lastResort := false
 	launched := 0
+	first := "" // the replica launched first; a hedge wins only against it
 	// launch starts the next routable replica, reporting false once every
 	// replica (deferred pool included) has been launched.
 	launch := func() bool {
@@ -604,6 +605,9 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				continue
 			}
 			st := stores[id]
+			if launched == 0 {
+				first = id
+			}
 			launched++
 			s.spawn(func() {
 				v, err := st.Get(ns, key)
@@ -652,7 +656,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				} else {
 					s.drainGets(results, outstanding)
 				}
-				if launched > 1 {
+				if r.id != first {
 					s.count("shard.get.hedge_won")
 				}
 				return r.val, nil

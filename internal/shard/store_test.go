@@ -216,6 +216,38 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	}
 }
 
+// A hedge that fires but loses to a primary answering late is counted as
+// hedged, never as won: shard.get.hedge_won counts only reads served by a
+// replica other than the first one launched.
+func TestHedgedReadLosesToLatePrimary(t *testing.T) {
+	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2, HedgeDelay: 2 * time.Millisecond})
+	const key = "hedge/loser"
+	if err := h.store.Put(wire.NSData, key, []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.store.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	primary := h.store.Ring().Owner(wire.NSData, key)
+	for id, f := range h.faults {
+		delay := 200 * time.Millisecond
+		if id == primary {
+			delay = 20 * time.Millisecond
+		}
+		f.AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: delay})
+	}
+	v, err := h.store.Get(wire.NSData, key)
+	if err != nil || string(v) != "fresh" {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+	if got := h.reg.Counter("shard.get.hedged").Value(); got != 1 {
+		t.Errorf("shard.get.hedged = %d, want 1", got)
+	}
+	if got := h.reg.Counter("shard.get.hedge_won").Value(); got != 0 {
+		t.Errorf("shard.get.hedge_won = %d, want 0 (the primary answered first)", got)
+	}
+}
+
 // Read-repair: a primary serving not-found (FaultDrop) loses to its
 // replica, and the winning value is pushed back.
 func TestReadRepairAfterDrop(t *testing.T) {

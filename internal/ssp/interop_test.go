@@ -3,57 +3,11 @@ package ssp
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/wire"
 )
-
-// startV1Server runs a minimal old-generation SSP server: the pre-v2
-// codec loop — wire.Codec, serial dispatch, ReqID echo — with no
-// knowledge of magic bytes, hellos, or packs. It is the downgrade peer
-// for the v2→v1 interop tests; a hello probe reaches apply() as an
-// unknown op and is answered StatusBadRequest, exactly like a real old
-// server.
-func startV1Server(t *testing.T, store BlobStore) (*netsim.Listener, func()) {
-	t.Helper()
-	l := netsim.Listen(netsim.Unlimited)
-	inner := NewServer(store, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(conn net.Conn) {
-				defer wg.Done()
-				defer conn.Close()
-				codec := wire.NewCodec(conn)
-				for {
-					req, err := codec.ReadRequest()
-					if err != nil {
-						return
-					}
-					resp := inner.apply(req)
-					resp.ReqID = req.ReqID
-					if err := codec.SendResponse(resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l, func() {
-		l.Close()
-		wg.Wait()
-	}
-}
 
 // exerciseStore drives a client through every op shape the codecs
 // serialize differently: small and multi-megabyte values (standalone
@@ -111,54 +65,8 @@ func exerciseStore(t *testing.T, c *Client) {
 	}
 }
 
-// TestInteropV2ClientV1Server is the downgrade handshake: a current
-// client dials an old server, whose StatusBadRequest answer to the hello
-// probe must demote the connection to v1 — invisibly to callers.
-func TestInteropV2ClientV1Server(t *testing.T) {
-	l, stop := startV1Server(t, NewMemStore())
-	defer stop()
-	c, err := Dial(l.Dial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseStore(t, c)
-	if c.Negotiated() {
-		t.Fatal("client negotiated v2 against a v1 server")
-	}
-}
-
-// TestInteropLegacyClientV2Server is the reverse direction: an old
-// client — no hello, v1 frames with trailing-uvarint TraceID/ReqID
-// extensions — against the current server, which must answer every frame
-// in v1.
-func TestInteropLegacyClientV2Server(t *testing.T) {
-	l := netsim.Listen(netsim.Unlimited)
-	defer l.Close()
-	srv := NewServer(NewMemStore(), nil)
-	go srv.Serve(l)
-	defer srv.Close()
-	c, err := DialLegacy(l.Dial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseStore(t, c)
-	if c.Negotiated() {
-		t.Fatal("legacy client reports v2")
-	}
-	// The trailing-uvarint trace extension must still round-trip: a
-	// traced request is the old encoding's most fragile shape.
-	req := &wire.Request{Op: wire.OpGet, NS: wire.NSData, Key: "big", TraceID: 7, SpanID: 9}
-	call := c.Go(req, nil)
-	<-call.Done
-	if _, err := call.Response(); err != nil {
-		t.Fatalf("traced v1 request: %v", err)
-	}
-}
-
-// TestInteropV2BothWays is the happy path: hello → ack upgrade, then all
-// traffic — including pipelined pack frames both directions — in v2.
+// TestInteropV2BothWays drives the client against the server over the
+// full op surface, including pipelined pack frames in both directions.
 func TestInteropV2BothWays(t *testing.T) {
 	l := netsim.Listen(netsim.Unlimited)
 	defer l.Close()
@@ -170,13 +78,5 @@ func TestInteropV2BothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	// The ack is ordered before the ping's response, so negotiation has
-	// settled by the time any call completes.
-	if !c.Negotiated() {
-		t.Fatal("client did not negotiate v2 against a v2 server")
-	}
 	exerciseStore(t, c)
 }

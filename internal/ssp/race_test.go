@@ -1,6 +1,7 @@
 package ssp
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -83,5 +84,78 @@ func TestConcurrentMixedOps(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPackSubRequestsShareBuffer pipelines many small Gets over one
+// connection so requests arrive as pack frames. Every sub-request
+// borrows the pack's pooled buffer; the server must keep that buffer
+// alive until the last sub-request is dispatched, or a later sub-request
+// decodes from memory already recycled for the next frame (a data race
+// under -race, wrong values or a "Buf over-released" panic without it).
+// The early release needs a dispatch to finish inside a short window, so
+// the burst repeats for several rounds to make a miss unlikely.
+func TestPackSubRequestsShareBuffer(t *testing.T) {
+	store := NewMemStore()
+	l := netsim.Listen(netsim.Unlimited)
+	srv := NewServer(store, nil)
+	go srv.Serve(l)
+	defer srv.Close()
+
+	const (
+		rounds  = 16
+		workers = 32
+		gets    = 300
+	)
+	value := func(w, i int) []byte {
+		v := make([]byte, 100)
+		for j := range v {
+			v[j] = byte(w*31 + i*7 + j)
+		}
+		copy(v, fmt.Sprintf("%d/%d/", w, i))
+		return v
+	}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < gets; i++ {
+			if err := store.Put(wire.NSData, fmt.Sprintf("v/%d/%d", w, i), value(w, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c, err := Dial(l.Dial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		getAll(t, c, workers, gets, value)
+	}
+}
+
+func getAll(t *testing.T, c *Client, workers, gets int, value func(w, i int) []byte) {
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < gets; i++ {
+				got, err := c.Get(wire.NSData, fmt.Sprintf("v/%d/%d", w, i))
+				if err != nil {
+					errs <- fmt.Errorf("worker %d get %d: %w", w, i, err)
+					return
+				}
+				if !bytes.Equal(got, value(w, i)) {
+					errs <- fmt.Errorf("worker %d get %d: wrong value %q", w, i, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -16,12 +16,10 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// Server serves a BlobStore over the wire protocol. One reader and one
-// response-writer goroutine per connection; the store provides its own
-// synchronization. The server speaks both wire versions, detecting each
-// incoming frame by magic: a connection that sends a v2 hello is
-// answered in v2 (with response packing) from the ack onward, anything
-// else is answered in v1.
+// Server serves a BlobStore over the wire protocol (v2 frames, responses
+// pack-batched). One reader and one response-writer goroutine per
+// connection, with requests dispatched concurrently; the store provides
+// its own synchronization.
 type Server struct {
 	store BlobStore
 	views ViewStore // non-nil when store supports borrowed reads
@@ -47,8 +45,7 @@ type connEntry struct {
 	inflight atomic.Int64
 }
 
-// maxConnConcurrency bounds concurrent dispatch per connection for
-// multiplexed (nonzero-ReqID) requests.
+// maxConnConcurrency bounds concurrent dispatch per connection.
 const maxConnConcurrency = 32
 
 // NewServer creates a server over store. logger may be nil to disable
@@ -220,19 +217,11 @@ func (s *Server) isDraining() bool {
 	return s.draining || s.closed
 }
 
-// outMsg is one unit of work for a connection's response writer: either
-// a response to serialize or the negotiation ack.
-type outMsg struct {
-	resp     *wire.Response
-	helloAck bool
-}
-
 // connState is the per-connection transport state shared by the read
 // loop, the dispatch workers, and the response writer.
 type connState struct {
-	out      chan outMsg
-	v2       atomic.Bool // peer sent a v2 hello; reply in v2 from the ack on
-	bytesOut int64       // owned by the response writer until it exits
+	out      chan *wire.Response
+	bytesOut int64 // owned by the response writer until it exits
 }
 
 // maxPackBytes caps how large a coalesced response pack grows; responses
@@ -245,10 +234,11 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	var workers sync.WaitGroup
 	sem := make(chan struct{}, maxConnConcurrency)
 	br := bufio.NewReaderSize(conn, 64<<10)
-	st := &connState{out: make(chan outMsg, maxConnConcurrency)}
+	st := &connState{out: make(chan *wire.Response, maxConnConcurrency)}
 	writerDone := make(chan struct{})
 	go s.respWriter(conn, st, writerDone)
 	var bytesIn int64
+	s.reg.Gauge("ssp.conns").Add(1)
 	defer func() {
 		// Let in-flight workers enqueue their responses, then close the
 		// response channel so the writer drains, flushes, and exits
@@ -262,9 +252,10 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 		s.mu.Unlock()
 		s.reg.Counter("ssp.bytes_in").Add(bytesIn)
 		s.reg.Counter("ssp.bytes_out").Add(st.bytesOut)
+		// Last, so an observer that sees ssp.conns reach zero also sees
+		// this connection's byte counters.
+		s.reg.Gauge("ssp.conns").Add(-1)
 	}()
-	s.reg.Gauge("ssp.conns").Add(1)
-	defer s.reg.Gauge("ssp.conns").Add(-1)
 	for {
 		buf, n, err := wire.ReadFrameBuf(br)
 		if err != nil {
@@ -283,98 +274,61 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	}
 }
 
-// readFrame classifies one frame — v2 hello/request/pack or v1 request —
-// and routes it to dispatch. It consumes the caller's buffer reference
-// (transferring it to dispatch workers, with one extra Retain per
-// additional pack sub-message). Returns false when the connection should
-// be torn down.
+// readFrame decodes one frame — a request or a pack of requests — and
+// routes each request to dispatch. It consumes the caller's buffer
+// reference; every dispatched request holds a reference of its own.
+// Returns false when the connection should be torn down.
 func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, buf *wire.Buf) bool {
-	payload := buf.Bytes()
-	if !wire.IsV2(payload) {
-		req, err := wire.DecodeRequestBorrowed(payload)
-		if err != nil {
-			buf.Release()
-			if !s.isDraining() {
-				s.log.Printf("ssp: read request: %v", err)
-			}
-			return false
-		}
-		s.process(st, entry, workers, sem, req, buf)
-		return true
-	}
-	m, err := wire.DecodeV2(payload)
+	// Dispatched requests borrow buf and may release their references
+	// before this loop ends, so it holds its own until it is done.
+	defer buf.Release()
+	m, err := wire.DecodeV2(buf.Bytes())
 	if err != nil {
-		buf.Release()
-		if !s.isDraining() {
-			s.log.Printf("ssp: read request: %v", err)
-		}
+		s.logRead(err)
 		return false
 	}
 	switch m.Kind {
-	case wire.KindHello:
-		// Negotiation: from here on this conn speaks v2. The ack is
-		// ordered through the response channel like any reply.
-		st.v2.Store(true)
-		buf.Release()
-		st.out <- outMsg{helloAck: true}
-		return true
 	case wire.KindRequest:
 		s.process(st, entry, workers, sem, &m.Req, buf)
 		return true
 	case wire.KindPack:
-		// One buffer, one reference per sub-message: the read loop's
-		// reference goes to the first, each further sub-message Retains.
-		for i, raw := range m.Pack {
-			if i > 0 {
-				buf.Retain()
-			}
+		for _, raw := range m.Pack {
 			sub, err := wire.DecodeV2(raw)
-			if err != nil || sub.Kind != wire.KindRequest {
-				buf.Release()
-				if err == nil {
-					err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
-				}
-				if !s.isDraining() {
-					s.log.Printf("ssp: read request: %v", err)
-				}
+			if err == nil && sub.Kind != wire.KindRequest {
+				err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
+			}
+			if err != nil {
+				s.logRead(err)
 				return false
 			}
 			s.process(st, entry, workers, sem, &sub.Req, buf)
 		}
-		if len(m.Pack) == 0 {
-			buf.Release()
-		}
 		return true
 	default:
-		// A client has no business sending responses or acks.
-		buf.Release()
-		if !s.isDraining() {
-			s.log.Printf("ssp: read request: unexpected frame kind %d", m.Kind)
-		}
+		// A client has no business sending responses.
+		s.logRead(fmt.Errorf("unexpected frame kind %d", m.Kind))
 		return false
 	}
 }
 
-// process routes one decoded request into the dispatch policy: serial
-// for unmultiplexed (ReqID 0) requests, concurrent under the semaphore
-// otherwise. Consumes one reference on buf.
+func (s *Server) logRead(err error) {
+	if !s.isDraining() {
+		s.log.Printf("ssp: read request: %v", err)
+	}
+}
+
+// process dispatches one decoded request concurrently, bounded by the
+// connection's semaphore. It takes a reference on buf that dispatch
+// releases.
 func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, req *wire.Request, buf *wire.Buf) {
 	entry.inflight.Add(1)
-	if req.ReqID == 0 {
-		// Unmultiplexed (pre-ReqID) client: requests are processed
-		// strictly in order, one at a time, exactly as before. Wait
-		// out any multiplexed stragglers so replies stay ordered even
-		// for a peer that mixes both styles.
-		workers.Wait()
+	buf.Retain()
+	sem <- struct{}{}
+	workers.Add(1)
+	go func() {
+		defer func() { workers.Done(); <-sem }()
 		s.dispatch(st, entry, req, buf)
-	} else {
-		sem <- struct{}{}
-		workers.Add(1)
-		go func() {
-			defer func() { workers.Done(); <-sem }()
-			s.dispatch(st, entry, req, buf)
-		}()
-	}
+	}()
 }
 
 // dispatch executes one request and enqueues its response, echoing the
@@ -385,22 +339,45 @@ func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, bu
 	defer entry.inflight.Add(-1)
 	s.reg.Gauge("ssp.inflight").Add(1)
 	defer s.reg.Gauge("ssp.inflight").Add(-1)
-	opName := req.Op.String()
-	sp := s.tracer.StartRemote(obs.TraceID(req.TraceID), obs.SpanID(req.SpanID), "ssp."+opName, obs.ClassNone)
+	names := namesFor(req.Op)
+	sp := s.tracer.StartRemote(obs.TraceID(req.TraceID), obs.SpanID(req.SpanID), names.span, obs.ClassNone)
 	start := time.Now()
 	resp := s.apply(req)
 	resp.ReqID = req.ReqID
 	buf.Release()
-	s.reg.Histogram("ssp.op." + opName + ".ns").Observe(time.Since(start))
-	s.reg.Counter("ssp.op." + opName).Inc()
+	s.reg.Histogram(names.hist).Observe(time.Since(start))
+	s.reg.Counter(names.count).Inc()
 	sp.End()
-	st.out <- outMsg{resp: resp}
+	st.out <- resp
+}
+
+// opNames are one op's span and metric names.
+type opNames struct{ span, count, hist string }
+
+// knownOpNames holds the names of every protocol op, built once so
+// dispatch does not concatenate strings on each request.
+var knownOpNames = func() (t [wire.OpStats + 1]opNames) {
+	for op := range t {
+		t[op] = makeOpNames(wire.Op(op))
+	}
+	return t
+}()
+
+func makeOpNames(op wire.Op) opNames {
+	name := op.String()
+	return opNames{span: "ssp." + name, count: "ssp.op." + name, hist: "ssp.op." + name + ".ns"}
+}
+
+func namesFor(op wire.Op) opNames {
+	if int(op) < len(knownOpNames) {
+		return knownOpNames[op]
+	}
+	return makeOpNames(op)
 }
 
 // respWriter is the per-connection response serializer: it drains the
 // response channel, greedily coalescing whatever is already queued, and
-// writes each batch with a single flush — in v2 mode as one pack frame —
-// so a burst of pipelined responses costs one syscall (and one netsim
+// writes each batch with a single flush — as one pack frame — so a burst of pipelined responses costs one syscall (and one netsim
 // transmit event) instead of one per response.
 func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) {
 	defer close(done)
@@ -408,7 +385,7 @@ func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) 
 	var pk wire.Pack
 	var scratch []byte
 	failed := false
-	batch := make([]outMsg, 0, wire.MaxPackFrames)
+	batch := make([]*wire.Response, 0, wire.MaxPackFrames)
 	for m := range st.out {
 		batch = append(batch[:0], m)
 	drain:
@@ -447,12 +424,10 @@ func respApproxSize(p *wire.Response) int {
 	return n
 }
 
-// writeBatch serializes a batch of queued responses and flushes once. In
-// v2 mode consecutive small responses coalesce into pack frames bounded
-// by maxPackBytes; oversized responses and all v1 traffic go out as
-// individual frames.
-func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scratch *[]byte, batch []outMsg) error {
-	v2 := st.v2.Load()
+// writeBatch serializes a batch of queued responses and flushes once.
+// Consecutive small responses coalesce into pack frames bounded by
+// maxPackBytes; oversized responses go out as individual frames.
+func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scratch *[]byte, batch []*wire.Response) error {
 	emit := func(payload []byte) error {
 		n, err := wire.WriteFrame(bw, payload)
 		st.bytesOut += int64(n)
@@ -467,36 +442,22 @@ func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scra
 		return err
 	}
 	pk.Reset()
-	for _, m := range batch {
-		switch {
-		case m.helloAck:
-			if err := flushPack(); err != nil {
-				return err
-			}
-			*scratch = wire.AppendHelloAck((*scratch)[:0], 2, 0)
-			if err := emit(*scratch); err != nil {
-				return err
-			}
-		case v2 && respApproxSize(m.resp) <= maxPackBytes:
-			pk.AddResponse(m.resp)
+	for _, resp := range batch {
+		if respApproxSize(resp) <= maxPackBytes {
+			pk.AddResponse(resp)
 			if pk.Size() >= maxPackBytes {
 				if err := flushPack(); err != nil {
 					return err
 				}
 			}
-		case v2:
-			if err := flushPack(); err != nil {
-				return err
-			}
-			*scratch = wire.AppendResponseV2((*scratch)[:0], m.resp)
-			if err := emit(*scratch); err != nil {
-				return err
-			}
-		default:
-			*scratch = wire.AppendResponse((*scratch)[:0], m.resp)
-			if err := emit(*scratch); err != nil {
-				return err
-			}
+			continue
+		}
+		if err := flushPack(); err != nil {
+			return err
+		}
+		*scratch = wire.AppendResponseV2((*scratch)[:0], resp)
+		if err := emit(*scratch); err != nil {
+			return err
 		}
 	}
 	if err := flushPack(); err != nil {

@@ -275,14 +275,25 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := wire.NewCodec(conn)
-	defer codec.Close()
-	resp, err := codec.Call(&wire.Request{Op: wire.Op(200)})
+	defer conn.Close()
+	// A raw v2 request frame, bypassing Client, for an op no server knows.
+	if _, err := wire.WriteFrame(conn, (&wire.Request{Op: wire.Op(200), ReqID: 7}).EncodeV2()); err != nil {
+		t.Fatal(err)
+	}
+	buf, _, err := wire.ReadFrameBuf(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != wire.StatusBadRequest {
-		t.Errorf("status = %v", resp.Status)
+	defer buf.Release()
+	m, err := wire.DecodeV2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != wire.KindResponse || m.Resp.ReqID != 7 {
+		t.Fatalf("reply kind %d req %d, want a response to req 7", m.Kind, m.Resp.ReqID)
+	}
+	if m.Resp.Status != wire.StatusBadRequest {
+		t.Errorf("status = %v", m.Resp.Status)
 	}
 }
 

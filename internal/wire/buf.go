@@ -15,8 +15,9 @@ import (
 // Ownership discipline: every AcquireBuf/ReadFrameBuf creates an
 // obligation to call Release exactly once per reference. A holder that
 // hands a sub-slice to another goroutine must Retain first and the
-// receiver must Release when done (the sharded server does this for pack
-// frames: one buffer, one reference per sub-message). After the final
+// receiver must Release when done (the SSP server does this for pack
+// frames: its read loop holds its own reference across the whole pack
+// and Retains once per dispatched sub-message). After the final
 // Release every sub-slice of Bytes is invalid — the memory may be handed
 // to a concurrent reader. The sharoes-vet resleak analyzer enforces the
 // Release obligation on all paths.

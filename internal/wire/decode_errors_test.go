@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// corruptFrames is the table of malformed payloads shared by the decode
-// error-path tests and the fuzz seed corpus: truncated frames, oversized
-// length prefixes, and plain garbage. Decoders must return ErrBadMessage
-// (never panic, never over-allocate) for all of them.
+// corruptFrames is the table of malformed request bodies shared by the
+// decode error-path tests and the fuzz seed corpus: truncated fields,
+// oversized length prefixes, and plain garbage. Behind a v2 request
+// header (requestFrame), DecodeV2 must return ErrBadMessage (never panic,
+// never over-allocate) for all of them.
 var corruptFrames = []struct {
 	name string
 	b    []byte
@@ -32,17 +33,15 @@ var corruptFrames = []struct {
 func TestDecodeRequestErrorPaths(t *testing.T) {
 	for _, tc := range corruptFrames {
 		t.Run(tc.name, func(t *testing.T) {
-			q, err := DecodeRequest(tc.b)
+			m, err := DecodeV2(requestFrame(tc.b))
 			if err == nil {
-				// A frame that happens to parse must at least be
-				// re-encodable; nothing in this table should be.
-				t.Fatalf("DecodeRequest accepted %q: %+v", tc.name, q)
+				t.Fatalf("DecodeV2 accepted %q: %+v", tc.name, m.Req)
 			}
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("error not ErrBadMessage: %v", err)
 			}
-			if q != nil {
-				t.Fatalf("non-nil request alongside error")
+			if m != nil {
+				t.Fatalf("non-nil message alongside error")
 			}
 		})
 	}
@@ -66,31 +65,31 @@ func TestDecodeResponseErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := DecodeResponse(tc.b)
+			m, err := DecodeV2(responseFrame(tc.b))
 			if err == nil {
-				t.Fatalf("DecodeResponse accepted %q: %+v", tc.name, p)
+				t.Fatalf("DecodeV2 accepted %q: %+v", tc.name, m.Resp)
 			}
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("error not ErrBadMessage: %v", err)
 			}
-			if p != nil {
-				t.Fatalf("non-nil response alongside error")
+			if m != nil {
+				t.Fatalf("non-nil message alongside error")
 			}
 		})
 	}
 }
 
-// TestDecodeRequestTrailingBytesTolerated documents the contract for
-// well-formed prefixes: decoding consumes the fields it knows about and
-// ignores trailing bytes (forward compatibility for appended fields).
+// TestDecodeRequestTrailingBytes documents the contract for well-formed
+// prefixes: decoding consumes the fields it knows about and ignores
+// trailing bytes (forward compatibility for appended fields).
 func TestDecodeRequestTrailingBytes(t *testing.T) {
-	q := &Request{Op: OpGet, NS: NSMeta, Key: "k"}
-	b := append(q.Encode(), 0xde, 0xad)
-	got, err := DecodeRequest(b)
+	q := &Request{Op: OpGet, NS: NSMeta, Key: "k", ReqID: 4}
+	b := append(q.EncodeV2(), 0xde, 0xad)
+	got, err := decodeRequest(b)
 	if err != nil {
 		t.Fatalf("trailing bytes rejected: %v", err)
 	}
-	if got.Op != OpGet || got.Key != "k" {
+	if got.Op != OpGet || got.Key != "k" || got.ReqID != 4 {
 		t.Fatalf("fields corrupted by trailing bytes: %+v", got)
 	}
 }

@@ -22,11 +22,10 @@ func seedRequests() []*Request {
 			{NS: NSData, Key: "b", Delete: true},
 		}},
 		{Op: OpStats},
-		// Trace-extension frame: nonzero TraceID appends the optional
-		// trailing TraceID/SpanID uvarints (see Request.TraceID).
+		// Traced frame: TraceID and SpanID ride in the extension block
+		// (see Request.TraceID).
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9},
-		// Multiplexing-extension frames (see Request.ReqID): traced and
-		// untraced, the latter carrying the explicit zero TraceID.
+		// Multiplexed frames (see Request.ReqID), traced and untraced.
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9, ReqID: 3},
 		{Op: OpPut, NS: NSData, Key: "f/9/0/3", Val: []byte("sealed-bytes"), ReqID: 1<<64 - 1},
 	}
@@ -40,39 +39,41 @@ func seedResponses() []*Response {
 		{Status: StatusBadRequest, Err: "unknown op"},
 		{Status: StatusError, Err: "disk full"},
 		{Status: StatusOK, Items: []KV{{NS: NSData, Key: "k", Val: []byte("v")}}},
-		// Multiplexing-extension frames (see Response.ReqID).
+		// Multiplexed frames (see Response.ReqID).
 		{Status: StatusOK, Val: []byte("blob"), ReqID: 3},
 		{Status: StatusNotFound, ReqID: 1<<64 - 1},
 	}
 }
 
-// FuzzDecodeRequest checks that DecodeRequest never panics on arbitrary
-// input and that accepted inputs survive an encode/decode round trip.
+// FuzzDecodeRequest checks that DecodeV2 never panics on request frames
+// and that accepted requests survive an encode/decode round trip.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, q := range seedRequests() {
-		f.Add(q.Encode())
+		f.Add(q.EncodeV2())
 	}
 	for _, tc := range corruptFrames {
-		f.Add(tc.b)
+		f.Add(requestFrame(tc.b))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		q, err := DecodeRequest(b)
+		m, err := DecodeV2(b)
 		if err != nil {
-			if q != nil {
-				t.Fatal("non-nil request alongside error")
+			if m != nil {
+				t.Fatal("non-nil message alongside error")
 			}
 			return
 		}
+		if m.Kind != KindRequest {
+			return
+		}
 		// Accepted input: the decoded value must be stable under
-		// re-encoding (Encode is canonical, so one more decode must
+		// re-encoding (EncodeV2 is canonical, so one more decode must
 		// reproduce it exactly).
-		re := q.Encode()
-		q2, err := DecodeRequest(re)
+		q2, err := decodeRequest(m.Req.EncodeV2())
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		if !reflect.DeepEqual(normalizeReq(q), normalizeReq(q2)) {
-			t.Fatalf("round trip diverged:\n  %+v\n  %+v", q, q2)
+		if !reflect.DeepEqual(normalizeReq(&m.Req), normalizeReq(q2)) {
+			t.Fatalf("round trip diverged:\n  %+v\n  %+v", &m.Req, q2)
 		}
 	})
 }
@@ -80,31 +81,33 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse is the response-side twin of FuzzDecodeRequest.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, p := range seedResponses() {
-		f.Add(p.Encode())
+		f.Add(p.EncodeV2())
 	}
-	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add(responseFrame([]byte{0xff, 0xff, 0xff}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := DecodeResponse(b)
+		m, err := DecodeV2(b)
 		if err != nil {
-			if p != nil {
-				t.Fatal("non-nil response alongside error")
+			if m != nil {
+				t.Fatal("non-nil message alongside error")
 			}
 			return
 		}
-		re := p.Encode()
-		p2, err := DecodeResponse(re)
+		if m.Kind != KindResponse {
+			return
+		}
+		p2, err := decodeResponse(m.Resp.EncodeV2())
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		if !reflect.DeepEqual(normalizeResp(p), normalizeResp(p2)) {
-			t.Fatalf("round trip diverged:\n  %+v\n  %+v", p, p2)
+		if !reflect.DeepEqual(normalizeResp(&m.Resp), normalizeResp(p2)) {
+			t.Fatalf("round trip diverged:\n  %+v\n  %+v", &m.Resp, p2)
 		}
 	})
 }
 
 // FuzzReadFrame checks the framing layer: hostile length prefixes must be
 // rejected by the size limit, and every accepted frame must return
-// exactly the payload written.
+// exactly the payload written, in a buffer that releases cleanly.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := WriteFrame(&buf, []byte("payload")); err != nil {
@@ -114,15 +117,20 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, n, err := ReadFrame(bytes.NewReader(b))
+		frame, n, err := ReadFrameBuf(bytes.NewReader(b))
 		if err != nil {
 			return
 		}
+		defer frame.Release()
+		payload := frame.Bytes()
 		if n != 4+len(payload) {
 			t.Fatalf("consumed %d bytes for %d-byte payload", n, len(payload))
 		}
 		if len(payload) > MaxMessageSize {
 			t.Fatalf("oversized payload accepted: %d", len(payload))
+		}
+		if !bytes.Equal(payload, b[4:n]) {
+			t.Fatalf("payload differs from the bytes written")
 		}
 	})
 }

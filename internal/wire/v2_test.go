@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -8,11 +10,7 @@ import (
 
 func TestV2RequestRoundTrip(t *testing.T) {
 	for _, q := range seedRequests() {
-		b := q.EncodeV2()
-		if !IsV2(b) {
-			t.Fatalf("IsV2 false for v2 encoding of %+v", q)
-		}
-		m, err := DecodeV2(b)
+		m, err := DecodeV2(q.EncodeV2())
 		if err != nil {
 			t.Fatalf("DecodeV2(%+v): %v", q, err)
 		}
@@ -27,11 +25,7 @@ func TestV2RequestRoundTrip(t *testing.T) {
 
 func TestV2ResponseRoundTrip(t *testing.T) {
 	for _, p := range seedResponses() {
-		b := p.EncodeV2()
-		if !IsV2(b) {
-			t.Fatalf("IsV2 false for v2 encoding of %+v", p)
-		}
-		m, err := DecodeV2(b)
+		m, err := DecodeV2(p.EncodeV2())
 		if err != nil {
 			t.Fatalf("DecodeV2(%+v): %v", p, err)
 		}
@@ -44,61 +38,125 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2NotConfusedWithV1 checks the magic split: no v1 seed encoding may
-// pass IsV2 (v1 ops and statuses never collide with the 0x53 magic).
-func TestV2NotConfusedWithV1(t *testing.T) {
+// frozenRequestBody and frozenResponseBody replicate the message bodies
+// byte for byte, independently of the encoder under test: the body
+// format is fixed, so a change to it must fail here first.
+func frozenRequestBody(q *Request) []byte {
+	b := []byte{byte(q.Op), byte(q.NS)}
+	b = frozenBytes(b, []byte(q.Key))
+	b = frozenBytes(b, q.Val)
+	b = frozenBytes(b, []byte(q.Prefix))
+	return frozenItems(b, q.Items)
+}
+
+func frozenResponseBody(p *Response) []byte {
+	b := []byte{byte(p.Status)}
+	b = frozenBytes(b, []byte(p.Err))
+	b = frozenBytes(b, p.Val)
+	return frozenItems(b, p.Items)
+}
+
+func frozenBytes(b, v []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	return append(b, v...)
+}
+
+func frozenItems(b []byte, items []KV) []byte {
+	b = binary.AppendUvarint(b, uint64(len(items)))
+	for _, kv := range items {
+		b = append(b, byte(kv.NS))
+		b = frozenBytes(b, []byte(kv.Key))
+		b = frozenBytes(b, kv.Val)
+		if kv.Delete {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
+}
+
+// TestUntracedFramesAreByteIdentical: with no trace or request ID the
+// encoder must produce exactly the 3-byte header plus the frozen request
+// body — no extension block — so wire sizes are unchanged when tracing
+// is off.
+func TestUntracedFramesAreByteIdentical(t *testing.T) {
 	for _, q := range seedRequests() {
-		if IsV2(q.Encode()) {
-			t.Fatalf("v1 request encoding classified as v2: %+v", q)
+		q.TraceID, q.SpanID, q.ReqID = 0, 0, 0
+		want := append([]byte{Magic, Version2, KindRequest}, frozenRequestBody(q)...)
+		if !bytes.Equal(q.EncodeV2(), want) {
+			t.Fatalf("untraced encoding of %v differs from header + frozen body", q.Op)
 		}
 	}
+}
+
+// TestUnmultiplexedResponsesAreByteIdentical: with ReqID zero the
+// response encoder must produce exactly the header plus the frozen body.
+func TestUnmultiplexedResponsesAreByteIdentical(t *testing.T) {
 	for _, p := range seedResponses() {
-		if IsV2(p.Encode()) {
-			t.Fatalf("v1 response encoding classified as v2: %+v", p)
+		p.ReqID = 0
+		want := append([]byte{Magic, Version2, KindResponse}, frozenResponseBody(p)...)
+		if !bytes.Equal(p.EncodeV2(), want) {
+			t.Fatalf("unmultiplexed encoding of status %d differs from header + frozen body", p.Status)
 		}
 	}
 }
 
-// TestHelloDualParse pins the negotiation opener's double life: a v2 peer
-// must see KindHello with maxver 2, while a v1 peer — both the current
-// lenient decoder and the frozen pre-extension replica — must accept the
-// same bytes as a well-formed request for an unknown op, so old servers
-// answer StatusBadRequest instead of dropping the connection.
-func TestHelloDualParse(t *testing.T) {
-	hello := HelloFrame()
-	if !IsV2(hello) {
-		t.Fatal("hello frame not recognized as v2")
-	}
-	m, err := DecodeV2(hello)
+// TestTraceExtensionRoundTrip: traced frames survive encode/decode with
+// IDs intact, including varint-boundary values.
+func TestTraceExtensionRoundTrip(t *testing.T) {
+	q := &Request{Op: OpGet, NS: NSMeta, Key: "m/1/o", TraceID: 7, SpanID: 9}
+	got, err := decodeRequest(q.EncodeV2())
 	if err != nil {
-		t.Fatalf("DecodeV2(hello): %v", err)
+		t.Fatal(err)
 	}
-	if m.Kind != KindHello || m.HelloVer != 2 || m.HelloCaps != 0 {
-		t.Fatalf("hello decoded as kind=%d ver=%d caps=%d, want kind=%d ver=2 caps=0",
-			m.Kind, m.HelloVer, m.HelloCaps, KindHello)
+	if got.TraceID != 7 || got.SpanID != 9 {
+		t.Fatalf("trace ids = %d/%d, want 7/9", got.TraceID, got.SpanID)
 	}
-	for name, dec := range map[string]func([]byte) (*Request, error){
-		"current": DecodeRequest,
-		"old":     oldDecodeRequest,
-	} {
-		q, err := dec(hello)
+	q = &Request{Op: OpPing, TraceID: 1<<64 - 1, SpanID: 1 << 63}
+	got, err = decodeRequest(q.EncodeV2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TraceID != 1<<64-1 || got.SpanID != 1<<63 {
+		t.Fatalf("trace ids = %d/%d", got.TraceID, got.SpanID)
+	}
+}
+
+// TestReqIDRoundTrip: every traced × multiplexed combination survives
+// encode/decode with all three IDs intact, and so does a response's ReqID.
+func TestReqIDRoundTrip(t *testing.T) {
+	cases := []struct {
+		name          string
+		tid, sid, rid uint64
+	}{
+		{"mux only", 0, 0, 5},
+		{"traced mux", 7, 9, 5},
+		{"neither", 0, 0, 0},
+		{"traced only", 7, 9, 0},
+		{"span without trace", 0, 9, 5},
+		{"varint boundary", 1<<64 - 1, 1 << 63, 1<<64 - 1},
+	}
+	for _, tc := range cases {
+		q := &Request{Op: OpGet, NS: NSMeta, Key: "m/1/o", TraceID: tc.tid, SpanID: tc.sid, ReqID: tc.rid}
+		got, err := decodeRequest(q.EncodeV2())
 		if err != nil {
-			t.Fatalf("%s v1 decoder rejected hello frame: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if q.Op == OpPing || (q.Op >= OpGet && q.Op <= OpStats) {
-			t.Fatalf("%s v1 decoder parsed hello as known op %d", name, q.Op)
+		if got.TraceID != tc.tid || got.SpanID != tc.sid || got.ReqID != tc.rid {
+			t.Fatalf("%s: decoded %d/%d/%d, want %d/%d/%d", tc.name,
+				got.TraceID, got.SpanID, got.ReqID, tc.tid, tc.sid, tc.rid)
 		}
 	}
-}
-
-func TestHelloAckRoundTrip(t *testing.T) {
-	b := AppendHelloAck(nil, 2, 0)
-	m, err := DecodeV2(b)
-	if err != nil {
-		t.Fatalf("DecodeV2(helloack): %v", err)
-	}
-	if m.Kind != KindHelloAck || m.HelloVer != 2 || m.HelloCaps != 0 {
-		t.Fatalf("helloack decoded as kind=%d ver=%d caps=%d", m.Kind, m.HelloVer, m.HelloCaps)
+	for _, rid := range []uint64{0, 5, 1<<64 - 1} {
+		p := &Response{Status: StatusOK, Val: []byte("v"), ReqID: rid}
+		got, err := decodeResponse(p.EncodeV2())
+		if err != nil {
+			t.Fatalf("resp rid=%d: %v", rid, err)
+		}
+		if got.ReqID != rid {
+			t.Fatalf("resp decoded rid %d, want %d", got.ReqID, rid)
+		}
 	}
 }
 
@@ -121,7 +179,8 @@ func TestV2Corrupt(t *testing.T) {
 		{"ext val truncated", []byte{Magic, Version2, KindRequest | infoHasExt, 1, ExtReqID}},
 		{"request body truncated", []byte{Magic, Version2, KindRequest}},
 		{"response body truncated", []byte{Magic, Version2, KindResponse, byte(StatusOK)}},
-		{"hello truncated", []byte{Magic, Version2, KindHello}},
+		{"retired kind 3 (hello)", []byte{Magic, Version2, 3, 0x02, 0, 0, 0, 0, 0}},
+		{"retired kind 4 (hello ack)", []byte{Magic, Version2, 4, 0x02, 0}},
 		{"pack count truncated", []byte{Magic, Version2, KindPack}},
 		{"pack short length", []byte{Magic, Version2, KindPack, 1, 0, 0}},
 		{"pack length overrun", []byte{Magic, Version2, KindPack, 1, 0, 0, 0, 99, 1}},
@@ -129,8 +188,6 @@ func TestV2Corrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if _, err := DecodeV2(tc.b); !errors.Is(err, ErrBadMessage) {
-			// IsV2-rejected inputs still go through DecodeV2 here on
-			// purpose: the parser must classify them itself.
 			t.Errorf("%s: err = %v, want ErrBadMessage", tc.name, err)
 		}
 	}
@@ -236,11 +293,10 @@ func TestPackReuse(t *testing.T) {
 }
 
 // TestV2UnknownExtSkipped checks forward compatibility: extensions this
-// build doesn't know (including the reserved ExtShardRoute) must be
-// skipped, not rejected.
+// build doesn't know must be skipped, not rejected.
 func TestV2UnknownExtSkipped(t *testing.T) {
 	b := appendV2Header(nil, KindRequest,
-		[2]uint64{ExtShardRoute, 42}, [2]uint64{99, 1}, [2]uint64{ExtReqID, 5})
+		[2]uint64{4, 42}, [2]uint64{99, 1}, [2]uint64{ExtReqID, 5})
 	b = appendRequestBody(b, &Request{Op: OpPing})
 	m, err := DecodeV2(b)
 	if err != nil {
@@ -283,8 +339,9 @@ func FuzzDecodeV2Frame(f *testing.F) {
 	for _, p := range seedResponses() {
 		f.Add(p.EncodeV2())
 	}
-	f.Add(HelloFrame())
-	f.Add(AppendHelloAck(nil, 2, 0))
+	// The retired negotiation frames (kinds 3 and 4) must be rejected.
+	f.Add([]byte{Magic, Version2, 3, 0x02, 0, 0, 0, 0, 0})
+	f.Add([]byte{Magic, Version2, 4, 0x02, 0})
 	var pk Pack
 	pk.Reset()
 	pk.AddRequest(&Request{Op: OpPing, ReqID: 1})
@@ -324,72 +381,6 @@ func FuzzDecodeV2Frame(f *testing.F) {
 				if err := DecodeV2Into(raw, &sub); err != nil && !errors.Is(err, ErrBadMessage) {
 					t.Fatalf("pack[%d]: non-ErrBadMessage failure: %v", i, err)
 				}
-			}
-		}
-	})
-}
-
-// FuzzV1V2Differential cross-checks the codecs: anything the v1 decoder
-// accepts must survive translation through v2 unchanged, and any v2
-// request/response whose metadata is v1-representable must survive
-// translation back through v1.
-func FuzzV1V2Differential(f *testing.F) {
-	for _, q := range seedRequests() {
-		f.Add(q.Encode())
-		f.Add(q.EncodeV2())
-	}
-	for _, p := range seedResponses() {
-		f.Add(p.Encode())
-		f.Add(p.EncodeV2())
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if IsV2(b) {
-			m, err := DecodeV2(b)
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case KindRequest:
-				// v1 cannot carry SpanID without TraceID — skip the
-				// v2-only combination.
-				if m.Req.TraceID == 0 && m.Req.SpanID != 0 {
-					return
-				}
-				q2, err := DecodeRequest(m.Req.Encode())
-				if err != nil {
-					t.Fatalf("v1 rejected v2-accepted request: %v", err)
-				}
-				if !reflect.DeepEqual(normalizeReq(&m.Req), normalizeReq(q2)) {
-					t.Fatalf("v2→v1 diverged:\n  %+v\n  %+v", &m.Req, q2)
-				}
-			case KindResponse:
-				p2, err := DecodeResponse(m.Resp.Encode())
-				if err != nil {
-					t.Fatalf("v1 rejected v2-accepted response: %v", err)
-				}
-				if !reflect.DeepEqual(normalizeResp(&m.Resp), normalizeResp(p2)) {
-					t.Fatalf("v2→v1 diverged:\n  %+v\n  %+v", &m.Resp, p2)
-				}
-			}
-			return
-		}
-		// v1 requests: everything v1 accepts is v2-representable.
-		if q, err := DecodeRequest(b); err == nil {
-			m, err := DecodeV2(q.EncodeV2())
-			if err != nil {
-				t.Fatalf("v2 rejected v1-accepted request: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeReq(q), normalizeReq(&m.Req)) {
-				t.Fatalf("v1→v2 diverged:\n  %+v\n  %+v", q, &m.Req)
-			}
-		}
-		if p, err := DecodeResponse(b); err == nil {
-			m, err := DecodeV2(p.EncodeV2())
-			if err != nil {
-				t.Fatalf("v2 rejected v1-accepted response: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeResp(p), normalizeResp(&m.Resp)) {
-				t.Fatalf("v1→v2 diverged:\n  %+v\n  %+v", p, &m.Resp)
 			}
 		}
 	})

@@ -3,11 +3,45 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// decodeRequest and decodeResponse decode one v2 frame and insist on its
+// kind, for tests that only care about one message type.
+func decodeRequest(b []byte) (*Request, error) {
+	m, err := DecodeV2(b)
+	if err != nil {
+		return nil, err
+	}
+	if m.Kind != KindRequest {
+		return nil, errors.New("not a request frame")
+	}
+	return &m.Req, nil
+}
+
+func decodeResponse(b []byte) (*Response, error) {
+	m, err := DecodeV2(b)
+	if err != nil {
+		return nil, err
+	}
+	if m.Kind != KindResponse {
+		return nil, errors.New("not a response frame")
+	}
+	return &m.Resp, nil
+}
+
+// requestFrame and responseFrame prefix a hand-built body with a bare v2
+// header (no extension block), so body-level corruption reaches the body
+// decoder.
+func requestFrame(body []byte) []byte {
+	return append([]byte{Magic, Version2, KindRequest}, body...)
+}
+
+func responseFrame(body []byte) []byte {
+	return append([]byte{Magic, Version2, KindResponse}, body...)
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []*Request{
@@ -24,7 +58,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, q := range cases {
-		got, err := DecodeRequest(q.Encode())
+		got, err := decodeRequest(q.EncodeV2())
 		if err != nil {
 			t.Fatalf("%v: %v", q.Op, err)
 		}
@@ -46,7 +80,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, p := range cases {
-		got, err := DecodeResponse(p.Encode())
+		got, err := decodeResponse(p.EncodeV2())
 		if err != nil {
 			t.Fatalf("%v: %v", p.Status, err)
 		}
@@ -66,7 +100,7 @@ func TestRequestPropertyRoundTrip(t *testing.T) {
 		if len(itemVal) > 0 {
 			q.Items[0].Val = itemVal
 		}
-		got, err := DecodeRequest(q.Encode())
+		got, err := decodeRequest(q.EncodeV2())
 		return err == nil && reflect.DeepEqual(got, q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -76,18 +110,20 @@ func TestRequestPropertyRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {1}, {1, 2, 200}, bytes.Repeat([]byte{0xFF}, 10)} {
-		if _, err := DecodeRequest(b); err == nil {
-			t.Errorf("DecodeRequest(%v) accepted garbage", b)
+		if _, err := DecodeV2(b); err == nil {
+			t.Errorf("DecodeV2(%v) accepted garbage", b)
+		}
+		if _, err := DecodeV2(requestFrame(b)); err == nil {
+			t.Errorf("DecodeV2(request %v) accepted garbage", b)
 		}
 	}
-	if _, err := DecodeResponse([]byte{1, 0xFF}); err == nil {
-		t.Error("DecodeResponse accepted garbage")
+	if _, err := DecodeV2(responseFrame([]byte{1, 0xFF})); err == nil {
+		t.Error("DecodeV2 accepted a garbage response")
 	}
 	// Absurd item counts must be rejected rather than looping.
-	var buf bytes.Buffer
-	buf.Write([]byte{byte(OpBatchPut), 0, 0, 0, 0}) // op, ns, key="", val="", prefix=""
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge varint count
-	if _, err := DecodeRequest(buf.Bytes()); !errors.Is(err, ErrBadMessage) {
+	body := []byte{byte(OpBatchPut), 0, 0, 0, 0}      // op, ns, key="", val="", prefix=""
+	body = append(body, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // huge varint count
+	if _, err := DecodeV2(requestFrame(body)); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("huge item count: %v", err)
 	}
 }
@@ -102,12 +138,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if n != 4+len(payload) {
 		t.Errorf("wrote %d bytes", n)
 	}
-	got, rn, err := ReadFrame(&buf)
+	got, rn, err := ReadFrameBuf(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rn != n || !bytes.Equal(got, payload) {
-		t.Errorf("got %q (%d bytes)", got, rn)
+	defer got.Release()
+	if rn != n || !bytes.Equal(got.Bytes(), payload) {
+		t.Errorf("got %q (%d bytes)", got.Bytes(), rn)
 	}
 }
 
@@ -117,7 +154,7 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB claimed length
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadFrameBuf(&buf); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized read: %v", err)
 	}
 }
@@ -126,38 +163,9 @@ func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, []byte("hello"))
 	trunc := buf.Bytes()[:6]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if got, _, err := ReadFrameBuf(bytes.NewReader(trunc)); err == nil {
+		got.Release()
 		t.Error("truncated frame accepted")
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	ca, cb := NewCodec(a), NewCodec(b)
-	defer ca.Close()
-	defer cb.Close()
-
-	go func() {
-		q, err := cb.ReadRequest()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if q.Op != OpGet || q.Key != "m/1" {
-			t.Errorf("server got %+v", q)
-		}
-		cb.SendResponse(&Response{Status: StatusOK, Val: []byte("metadata")})
-	}()
-
-	resp, err := ca.Call(&Request{Op: OpGet, NS: NSMeta, Key: "m/1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusOK || string(resp.Val) != "metadata" {
-		t.Errorf("resp = %+v", resp)
-	}
-	if ca.BytesOut == 0 || ca.BytesIn == 0 {
-		t.Error("codec byte counters not updated")
 	}
 }
 
@@ -196,17 +204,19 @@ func TestOpAndNSStrings(t *testing.T) {
 func BenchmarkRequestEncode(b *testing.B) {
 	q := &Request{Op: OpPut, NS: NSData, Key: "b/123456/c/2", Val: make([]byte, 4096)}
 	b.ReportAllocs()
+	var dst []byte
 	for i := 0; i < b.N; i++ {
-		q.Encode()
+		dst = AppendRequestV2(dst[:0], q)
 	}
 }
 
 func BenchmarkRequestDecode(b *testing.B) {
 	q := &Request{Op: OpPut, NS: NSData, Key: "b/123456/c/2", Val: make([]byte, 4096)}
-	payload := q.Encode()
+	payload := q.EncodeV2()
+	var m Msg
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRequest(payload); err != nil {
+		if err := DecodeV2Into(payload, &m); err != nil {
 			b.Fatal(err)
 		}
 	}
