@@ -23,7 +23,7 @@ FUZZ_TARGETS := \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc check
+.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc bench-smoke check
 
 all: build
 
@@ -110,6 +110,20 @@ bench-compare:
 bench-alloc:
 	$(GO) test ./internal/ssp -run TestWriteAllocReport -alloc-report -alloc-out $(CURDIR)/current-alloc.json
 	$(GO) run ./cmd/checkreport -alloc-old BENCH_alloc.json -alloc-new current-alloc.json
+
+# bench-smoke runs the repository benchmark's own checks. perfbench is its
+# own Go module, so the root `go test ./...` never reaches its tests; run
+# them, then a short untraced run of each workload. A run exits non-zero
+# when any operation fails or returns a wrong result by the workload's
+# correctness oracles, or when the final Session.Verify over the SSPs'
+# stores reports a problem. The numbers it prints are not gated here.
+BENCH_WORKLOADS := createlist-wan postmark-wan share-wan
+bench-smoke:
+	cd perfbench && $(GO) test ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "--- perfbench $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 # fuzz-smoke runs every fuzz target for a short burst — enough to catch
 # regressions on the saved corpus plus a little fresh exploration.

@@ -53,6 +53,22 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
+// Has reports whether key is cached without marking it used or counting
+// a hit or miss: a probe for prefetchers, not a read.
+func (c *Cache) Has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
+}
+
+// Enabled reports whether the cache keeps anything (budget != 0).
+func (c *Cache) Enabled() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budget != 0
+}
+
 // Put inserts or replaces the value for key, charging size bytes against
 // the budget and evicting least-recently-used entries as needed. Values
 // larger than the whole budget are not cached.

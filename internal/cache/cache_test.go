@@ -157,3 +157,23 @@ func TestEvictionNeverExceedsBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestHasIsAProbe: Has neither counts a hit or miss nor refreshes recency.
+func TestHasIsAProbe(t *testing.T) {
+	c := New(20)
+	c.Put("a", 1, 10)
+	c.Put("b", 2, 10)
+	if !c.Has("a") || c.Has("missing") {
+		t.Fatal("Has disagrees with the contents")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("Has counted: hits=%d misses=%d", hits, misses)
+	}
+	c.Put("c", 3, 10) // a is still the oldest: Has did not refresh it
+	if c.Has("a") || !c.Has("b") {
+		t.Error("Has refreshed recency")
+	}
+	if !c.Enabled() || New(0).Enabled() || !New(-1).Enabled() {
+		t.Error("Enabled does not match the budget")
+	}
+}

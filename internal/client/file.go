@@ -27,18 +27,20 @@ func (s *Session) fetchManifest(r ref, m *meta.Metadata) (*meta.Manifest, error)
 	if err != nil {
 		return nil, err
 	}
+	stop := s.crypto("open-manifest")
+	defer stop()
 	return s.openManifest(r, m, blob)
 }
 
-// openManifest verifies, decodes and caches a fetched manifest blob.
+// openManifest verifies, decodes and caches a fetched manifest blob. It
+// takes no stopwatch, so statAhead can run it on several goroutines;
+// callers charge CRYPTO around it.
 func (s *Session) openManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
-	stop := s.crypto("open-manifest")
 	pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, meta.ManifestAAD(r.ino, m.Attr.DataGen), blob)
 	var man *meta.Manifest
 	if err == nil {
 		man, err = meta.DecodeManifest(pt)
 	}
-	stop()
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,7 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
+	s.statAhead(r, base)
 	m, man, err := s.statFetch(r)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
@@ -54,7 +55,9 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 
 // statFetch retrieves the object's metadata and — for files the caller
 // can read — its manifest, batching both cache misses into one round trip
-// so that getattr keeps the paper's single-receive cost profile.
+// so that getattr keeps the paper's single-receive cost profile. A
+// manifest that fails verification falls back to the metadata attributes;
+// any other manifest fetch error (a dropped link, a deadline) is returned.
 func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 	metaCK := ckMeta + meta.MetaKey(r.ino, r.variant)
 	manCK := ckManifest + meta.ManifestKey(r.ino)
@@ -68,8 +71,11 @@ func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 			return m, man.(*meta.Manifest), nil
 		}
 		man, err := s.fetchManifest(r, m)
-		if err != nil {
+		if errors.Is(err, types.ErrTampered) {
 			return m, nil, nil // fall back to metadata attributes
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		return m, man, nil
 	}
@@ -90,16 +96,27 @@ func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 			manBlob = it.Val
 		}
 	}
+	stop := s.crypto("open-stat")
+	defer stop()
+	return s.openStat(r, metaBlob, manBlob)
+}
+
+// openStat verifies and caches what one getattr fetched: the metadata
+// blob under the row's MEK/MVK and location AAD, then — for files the
+// caller can read — the manifest under the DVK. It is the only way
+// statFetch and statAhead let fetched blobs into the cache. It touches no
+// session state but the (locked) cache and takes no stopwatch, so
+// statAhead can run it on several goroutines; callers charge CRYPTO
+// around it.
+func (s *Session) openStat(r ref, metaBlob, manBlob []byte) (*meta.Metadata, *meta.Manifest, error) {
 	if metaBlob == nil {
 		return nil, nil, types.ErrNotExist
 	}
-	stop := s.crypto("open-meta")
 	m, err := meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), metaBlob)
-	stop()
 	if err != nil {
 		return nil, nil, err
 	}
-	s.cache.Put(metaCK, m, int64(len(metaBlob)))
+	s.cache.Put(ckMeta+meta.MetaKey(r.ino, r.variant), m, int64(len(metaBlob)))
 	if m.Attr.Kind != types.KindFile || m.Keys.DEK.IsZero() || manBlob == nil {
 		return m, nil, nil
 	}
@@ -149,6 +166,10 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 			err = types.ErrPermission
 		}
 		return nil, pathErr("readdir", path, err)
+	}
+	s.listing = nil
+	if tbl, err := view.Full(); err == nil {
+		s.listing = &listing{dir: r.ino, rows: tbl.Entries}
 	}
 	out := make([]string, len(names))
 	copy(out, names)

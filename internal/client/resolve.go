@@ -271,10 +271,10 @@ func tableSize(t *meta.DirTable) int64 {
 }
 
 // writeParentTables seals every view of the directory from the per-variant
-// tables and returns the KVs to store. Reader-view cache entries for the
-// directory are invalidated and the writer-table cache is refreshed with
-// the new contents (write-through: within a session the client is the
-// only writer it is coherent with).
+// tables and returns the KVs to store. Reader-view cache entries and the
+// listing for the directory are invalidated and the writer-table cache is
+// refreshed with the new contents (write-through: within a session the
+// client is the only writer it is coherent with).
 func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
 	// Seal the per-variant views across the worker pool (the CRYPTO-side
 	// twin of loadParentTables' parallel open); kvs keep deterministic
@@ -308,6 +308,7 @@ func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*
 	}
 	s.cache.DeletePrefix(ckView + "t/" + fmt.Sprintf("%d/", uint64(r.ino)))
 	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(r.ino)))
+	s.forgetListing(r.ino)
 	for id, tbl := range tables {
 		s.cache.Put(ckWTable+meta.TableKey(r.ino, id), tbl.Clone(), tableSize(tbl))
 	}

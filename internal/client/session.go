@@ -99,6 +99,7 @@ type Session struct {
 	lazy      bool
 	groupKeys map[types.GroupID]sharocrypto.PrivateKey
 	root      ref
+	listing   *listing // the last ReadDir, for stat-ahead
 	closed    bool
 }
 
@@ -201,6 +202,7 @@ func (s *Session) Refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cache.Clear()
+	s.listing = nil
 }
 
 // CacheStats exposes cache hit/miss counts for experiments.
@@ -353,8 +355,8 @@ func (s *Session) variantCap(attr meta.Attr, variant string) (cap.ID, error) {
 }
 
 // invalidateObject drops all cached state for an inode, including the
-// resolved refs of its directory entries (the inode may be a directory
-// whose table is about to change under it).
+// resolved refs of its directory entries and its listing (the inode may
+// be a directory whose table is about to change under it).
 func (s *Session) invalidateObject(ino types.Inode) {
 	s.cache.DeletePrefix(ckMeta + "m/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.cache.DeletePrefix(ckView + "t/" + fmt.Sprintf("%d/", uint64(ino)))
@@ -362,4 +364,5 @@ func (s *Session) invalidateObject(ino types.Inode) {
 	s.cache.DeletePrefix(ckManifest + "f/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.cache.DeletePrefix(ckBlock + "f/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(ino)))
+	s.forgetListing(ino)
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // SymKeySize is the size of a symmetric key in bytes (128-bit AES).
@@ -148,8 +149,28 @@ func (k SymKey) NameTag(name string) [32]byte {
 }
 
 // SignKey is a signing key (a DSK or MSK). Holding it makes a principal a
-// writer (DSK) or owner (MSK) of the associated object.
-type SignKey struct{ priv ed25519.PrivateKey }
+// writer (DSK) or owner (MSK) of the associated object. A key rebuilt from
+// its seed expands it (a scalar multiplication) on first use, not when it
+// is decoded: every metadata object an owner or writer opens carries its
+// seeds, and most are only read — every stat — never signed with. Copies
+// share the expansion.
+type SignKey struct{ k *signKey }
+
+type signKey struct {
+	seed [ed25519.SeedSize]byte
+	once sync.Once
+	priv ed25519.PrivateKey
+}
+
+// private returns the expanded key, deriving it from the seed once.
+func (k *signKey) private() ed25519.PrivateKey {
+	k.once.Do(func() {
+		if k.priv == nil {
+			k.priv = ed25519.NewKeyFromSeed(k.seed[:])
+		}
+	})
+	return k.priv
+}
 
 // VerifyKey is the matching verification key (a DVK or MVK), distributed to
 // every reader so that unauthorized writes — by users or by the SSP itself —
@@ -171,13 +192,15 @@ func NewSigningPair() (SignKey, VerifyKey) {
 	if err != nil {
 		panic("sharocrypto: entropy unavailable: " + err.Error())
 	}
-	return SignKey{priv: priv}, VerifyKey{pub: pub}
+	k := &signKey{priv: priv}
+	copy(k.seed[:], priv.Seed())
+	return SignKey{k: k}, VerifyKey{pub: pub}
 }
 
 // Sign signs msg. Per the paper, writers sign the hash of the content they
 // upload; ed25519 hashes internally.
 func (s SignKey) Sign(msg []byte) []byte {
-	return ed25519.Sign(s.priv, msg)
+	return ed25519.Sign(s.k.private(), msg)
 }
 
 // Verify checks sig over msg.
@@ -190,11 +213,11 @@ func (v VerifyKey) Verify(msg, sig []byte) error {
 
 // VerifyKey returns the verification key matching s.
 func (s SignKey) VerifyKey() VerifyKey {
-	return VerifyKey{pub: s.priv.Public().(ed25519.PublicKey)}
+	return VerifyKey{pub: s.k.private().Public().(ed25519.PublicKey)}
 }
 
 // IsZero reports whether the key is unset (the "inaccessible" value).
-func (s SignKey) IsZero() bool { return len(s.priv) == 0 }
+func (s SignKey) IsZero() bool { return s.k == nil }
 
 // IsZero reports whether the key is unset.
 func (v VerifyKey) IsZero() bool { return len(v.pub) == 0 }
@@ -205,7 +228,7 @@ func (s SignKey) Marshal() []byte {
 		return nil
 	}
 	out := make([]byte, SignKeySeedSize)
-	copy(out, s.priv.Seed())
+	copy(out, s.k.seed[:])
 	return out
 }
 
@@ -214,7 +237,9 @@ func SignKeyFromBytes(b []byte) (SignKey, error) {
 	if len(b) != SignKeySeedSize {
 		return SignKey{}, fmt.Errorf("%w: sign key seed %d", ErrKeySize, len(b))
 	}
-	return SignKey{priv: ed25519.NewKeyFromSeed(b)}, nil
+	k := &signKey{}
+	copy(k.seed[:], b)
+	return SignKey{k: k}, nil
 }
 
 // Marshal serializes the verification key.

@@ -234,6 +234,36 @@ func TestSigningMarshal(t *testing.T) {
 	}
 }
 
+// TestSignKeyFromSeedConcurrentFirstUse: a key rebuilt from its seed
+// expands it on first use; copies used from several goroutines at once
+// (parallel table sealing) all sign with the same key.
+func TestSignKeyFromSeedConcurrentFirstUse(t *testing.T) {
+	sk, vk := NewSigningPair()
+	sk2, err := SignKeyFromBytes(sk.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("table view")
+	var wg sync.WaitGroup
+	sigs := make([][]byte, 8)
+	for i := range sigs {
+		wg.Add(1)
+		go func(i int, k SignKey) {
+			defer wg.Done()
+			sigs[i] = k.Sign(msg)
+		}(i, sk2)
+	}
+	wg.Wait()
+	for i, sig := range sigs {
+		if err := vk.Verify(msg, sig); err != nil {
+			t.Errorf("goroutine %d: %v", i, err)
+		}
+	}
+	if !sk2.VerifyKey().Equal(vk) || !bytes.Equal(sk2.Marshal(), sk.Marshal()) {
+		t.Error("rebuilt key differs from the original")
+	}
+}
+
 func TestZeroKeysBehave(t *testing.T) {
 	var sk SignKey
 	var vk VerifyKey
