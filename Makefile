@@ -72,10 +72,10 @@ vet-json:
 # race runs the packages with dedicated concurrency stress tests under
 # the race detector (internal/analysis for its parallel package loader,
 # internal/shard for concurrent quorum ops during live rebalancing and
-# the self-heal stress test, internal/resilience and internal/netsim for
-# the retry and sever paths).
+# the self-heal stress test, internal/ssp and internal/netsim for the
+# reconnect re-issue and sever paths).
 race:
-	$(GO) test -race ./internal/client ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim ./internal/resilience
+	$(GO) test -race ./internal/client ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1

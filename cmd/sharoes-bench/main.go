@@ -44,8 +44,7 @@ func main() {
 	replicas := flag.Int("replicas", 2, "shard replication factor R (with -shards > 1; clamped to the shard count)")
 	writeQuorum := flag.Int("write-quorum", 0, "shard write quorum W (0 = majority of R)")
 	hedge := flag.Duration("hedge", 0, "sharded read hedge threshold (0 = shard.Store default, negative disables hedging)")
-	shardFault := flag.String("shard-fault", "", "inject a whole-shard fault after bootstrap: loss (shard refuses writes, drops reads), slow (shard delays every read), drop (shard's connections severed once mid-run) or flap (shard's link severed periodically; drop/flap imply -self-heal)")
-	selfHeal := flag.Bool("self-heal", false, "build the self-healing transport stack: reconnecting per-shard clients with per-call deadlines and classified read retries")
+	shardFault := flag.String("shard-fault", "", "inject a whole-shard fault after bootstrap: loss (shard refuses writes, drops reads), slow (shard delays every read), drop (shard's connections severed once mid-run) or flap (shard's link severed periodically); drop and flap build the self-healing stack: reconnecting per-shard clients with per-call deadlines that re-issue failed reads")
 	chaos := flag.String("chaos", "", "instead of a figure, run a chaos campaign: seed[,duration[,profile]] — e.g. 42,10s,mixed (profiles: mixed, drops, slow, writes)")
 	flag.Parse()
 
@@ -99,7 +98,7 @@ func main() {
 		Options: workload.Options{Profile: prof, CacheBytes: -1, Scheme: *scheme,
 			Parallel: *parallel, WriteBehind: *wb,
 			Shards: *shards, Replicas: effReplicas, WriteQuorum: *writeQuorum,
-			HedgeDelay: *hedge, ShardFault: *shardFault, SelfHeal: *selfHeal},
+			HedgeDelay: *hedge, ShardFault: *shardFault},
 		Scale: *scale,
 		Reps:  *reps,
 	}
@@ -119,7 +118,7 @@ func main() {
 			rep.Parallel = *parallel
 		}
 		rep.WriteBehind = *wb
-		rep.SelfHeal = *selfHeal || *shardFault == "drop" || *shardFault == "flap"
+		rep.SelfHeal = workload.SelfHeals(*shardFault)
 		if *shards > 1 {
 			rep.Shards = *shards
 			rep.Replicas = effReplicas
@@ -149,7 +148,7 @@ func main() {
 			mode += " fault=" + *shardFault
 		}
 	}
-	if *selfHeal || *shardFault == "drop" || *shardFault == "flap" {
+	if workload.SelfHeals(*shardFault) {
 		mode += " self-heal"
 	}
 	fmt.Printf("sharoes-bench: profile=%s scale=1/%d scheme=%s%s\n\n", *profile, *scale, *scheme, mode)

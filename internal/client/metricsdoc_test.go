@@ -11,39 +11,71 @@ import (
 	"testing"
 )
 
-// TestClientMetricsDocumented: every fixed client.* metric name this
-// package registers is in the metric table of docs/OBSERVABILITY.md, and
-// every fixed client.* name in that table is registered here. Templated
-// names (client.op.<op>) are built at run time and are not compared.
+// metricPackages are the packages whose metric names the doc-drift test
+// compares with docs/OBSERVABILITY.md, relative to this package.
+var metricPackages = []string{".", "../ssp", "../shard", "../netsim"}
+
+// metricFamily matches the metric names those packages emit.
+var metricFamily = regexp.MustCompile(`^(client|ssp|shard|netsim)\.`)
+
+// metricCalls are the callees whose first argument is a metric name: the
+// obs.Registry instrument constructors and the packages' nil-safe
+// helpers around them (ReconnectClient.count, shard's count/gaugeAdd).
+var metricCalls = map[string]bool{
+	"Counter": true, "Gauge": true, "Histogram": true,
+	"count": true, "gaugeAdd": true,
+}
+
+// TestClientMetricsDocumented: every fixed client.*, ssp.*, shard.* and
+// netsim.* metric name the client stack registers (internal/client,
+// internal/ssp, internal/shard, internal/netsim) is in the metric table
+// of docs/OBSERVABILITY.md, and every fixed name of those families in
+// that table is registered there. Templated names (a literal prefix
+// ending in "." completed at run time, a `<op>` row) are not compared.
 func TestClientMetricsDocumented(t *testing.T) {
 	code := map[string]bool{}
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		ast.Inspect(pkg, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Counter" && sel.Sel.Name != "Gauge" && sel.Sel.Name != "Histogram") {
-				return true
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if name, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(name, "client.") {
-					code[name] = true
+	for _, dir := range metricPackages {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
 				}
-			}
-			return true
-		})
+				var callee string
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					callee = fun.Sel.Name
+				case *ast.Ident:
+					callee = fun.Name
+				}
+				if !metricCalls[callee] {
+					return true
+				}
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err == nil && metricFamily.MatchString(name) && !strings.HasSuffix(name, ".") {
+						code[name] = true
+					}
+				}
+				return true
+			})
+		}
 	}
-	if len(code) == 0 {
-		t.Fatal("found no fixed client.* metric names in the package source")
+	for _, family := range []string{"client.", "ssp.", "shard.", "netsim."} {
+		found := false
+		for n := range code {
+			found = found || strings.HasPrefix(n, family)
+		}
+		if !found {
+			t.Fatalf("found no fixed %s* metric names in the scanned sources", family)
+		}
 	}
 
 	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
@@ -51,7 +83,7 @@ func TestClientMetricsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	documented := map[string]bool{}
-	name := regexp.MustCompile("`(client\\.[^`]*)`")
+	name := regexp.MustCompile("`((?:client|ssp|shard|netsim)\\.[^`]*)`")
 	for _, line := range strings.Split(string(doc), "\n") {
 		if !strings.HasPrefix(line, "| `") {
 			continue
@@ -66,12 +98,12 @@ func TestClientMetricsDocumented(t *testing.T) {
 
 	for n := range code {
 		if !documented[n] {
-			t.Errorf("metric %s is registered in internal/client but missing from the docs/OBSERVABILITY.md metric table", n)
+			t.Errorf("metric %s is registered in the code but missing from the docs/OBSERVABILITY.md metric table", n)
 		}
 	}
 	for n := range documented {
 		if !code[n] {
-			t.Errorf("metric %s is in the docs/OBSERVABILITY.md metric table but internal/client never registers it", n)
+			t.Errorf("metric %s is in the docs/OBSERVABILITY.md metric table but the code never registers it", n)
 		}
 	}
 }

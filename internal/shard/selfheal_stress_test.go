@@ -3,6 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,7 +12,6 @@ import (
 
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/obs"
-	"github.com/sharoes/sharoes/internal/resilience"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/wire"
 )
@@ -61,13 +62,28 @@ func TestSelfHealStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// transient extends the resilience layer's judgment with the two
-	// wrappers this stack adds on top: a quorum miss whose cause was a
-	// flap, and a server-side error that crossed the wire as ErrRemote.
+	// transient accepts the failure classes a flap may surface: a quorum
+	// miss whose cause was a flap, a server-side error that crossed the
+	// wire as ErrRemote, and — unless it is a per-key not-found or the
+	// reconnect give-up — a call deadline, a shut-down client, an
+	// injected write fault, a dropped or closed connection, a net timeout.
 	transient := func(err error) bool {
-		return resilience.Transient(err) ||
-			errors.Is(err, ErrQuorum) ||
-			errors.Is(err, wire.ErrRemote)
+		if errors.Is(err, ErrQuorum) || errors.Is(err, wire.ErrRemote) {
+			return true
+		}
+		if err == nil || errors.Is(err, wire.ErrNotFound) || errors.Is(err, ssp.ErrReconnectFailed) {
+			return false
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			return true
+		}
+		return errors.Is(err, ssp.ErrDeadline) ||
+			errors.Is(err, ssp.ErrShutdown) ||
+			errors.Is(err, ssp.ErrInjectedWrite) ||
+			errors.Is(err, io.EOF) ||
+			errors.Is(err, io.ErrUnexpectedEOF) ||
+			errors.Is(err, net.ErrClosed)
 	}
 
 	const writers = 4

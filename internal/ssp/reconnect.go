@@ -20,24 +20,28 @@ import (
 // (and the last dial error) until the client is closed.
 var ErrReconnectFailed = errors.New("ssp: reconnect budget exhausted")
 
+// Redial backoff: the sleep before dial attempt n is full-jitter,
+// uniform in [0, min(redialMaxDelay, redialBaseDelay<<n)).
+const (
+	redialBaseDelay = time.Millisecond
+	redialMaxDelay  = 250 * time.Millisecond
+)
+
+// reissueAttempts bounds the tries of an idempotent call, the first
+// included.
+const reissueAttempts = 3
+
 // ReconnectOptions configures a ReconnectClient. Zero values take the
 // defaults noted on each field.
 type ReconnectOptions struct {
 	// MaxRedials is the consecutive-dial-failure budget before the client
 	// goes sticky with ErrReconnectFailed (default 8; <0 never gives up).
 	MaxRedials int
-	// BaseDelay seeds the exponential backoff between redials (default
-	// 1ms); MaxDelay caps it (default 250ms). The actual sleep is
-	// full-jitter: uniform in [0, min(MaxDelay, BaseDelay<<attempt)).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// CallTimeout is installed on every dialed client via SetCallTimeout
 	// (0 = no per-call deadline).
 	CallTimeout time.Duration
-	// Rand supplies jitter in [0, 1); nil uses an internal splitmix64
-	// stream (math/rand is banned outside internal/workload). Sleep is
-	// injectable for tests; nil uses time.Sleep.
-	Rand  func() float64
+	// Sleep waits out the redial backoff; nil uses time.Sleep. Tests
+	// inject a no-op.
 	Sleep func(time.Duration)
 	// Recorder and Tracer are forwarded to each dialed Client; Registry
 	// additionally receives the ssp.reconnect.* counters and is bound to
@@ -51,15 +55,6 @@ func (o *ReconnectOptions) defaults() {
 	if o.MaxRedials == 0 {
 		o.MaxRedials = 8
 	}
-	if o.BaseDelay == 0 {
-		o.BaseDelay = time.Millisecond
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 250 * time.Millisecond
-	}
-	if o.Rand == nil {
-		o.Rand = newJitterRand()
-	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
@@ -70,17 +65,20 @@ func (o *ReconnectOptions) defaults() {
 // error (ErrShutdown, ErrDeadline, EOF, a closed or timed-out conn), it
 // discards the broken client so the next call redials — with exponential
 // backoff plus full jitter, and a sticky give-up state after MaxRedials
-// consecutive dial failures. The failing call itself is NOT retried here:
-// in-flight calls fail fast and retry policy lives one layer up
-// (internal/resilience), which classifies the very errors this wrapper
-// lets through.
+// consecutive dial failures. An idempotent call (Get, List, BatchGet,
+// Stats, Delete) that failed that way is re-issued on the fresh
+// connection, up to reissueAttempts tries in all; the redial backoff
+// paces it. Put and BatchPut are never re-issued: a write whose reply
+// died on the cut link may have landed, and its outcome belongs to the
+// shard quorum and the write-behind sticky error above.
 //
 // Each dialed client uses the same ReqID machinery as a direct Dial; a
 // redial simply starts a fresh sequence on a fresh conn, so replies can
 // never cross connections.
 type ReconnectClient struct {
-	dial Dialer
-	opt  ReconnectOptions
+	dial   Dialer
+	opt    ReconnectOptions
+	jitter func() float64
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -98,7 +96,7 @@ var _ BlobStore = (*ReconnectClient)(nil)
 // is opened until the first call.
 func NewReconnectClient(dial Dialer, opt ReconnectOptions) *ReconnectClient {
 	opt.defaults()
-	r := &ReconnectClient{dial: dial, opt: opt}
+	r := &ReconnectClient{dial: dial, opt: opt, jitter: newJitterRand()}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -111,9 +109,10 @@ func (r *ReconnectClient) count(name string) {
 }
 
 // connErr reports whether err condemns the underlying connection (as
-// opposed to a per-key remote status like wire.ErrNotFound).
+// opposed to a per-key remote status like wire.ErrNotFound, or the
+// sticky ErrReconnectFailed: the transport already gave up).
 func connErr(err error) bool {
-	if err == nil {
+	if err == nil || errors.Is(err, ErrReconnectFailed) {
 		return false
 	}
 	var ne net.Error
@@ -130,14 +129,14 @@ func connErr(err error) bool {
 
 // backoff returns the jittered delay before dial attempt n (0-based).
 func (r *ReconnectClient) backoff(n int) time.Duration {
-	d := r.opt.BaseDelay
-	for i := 0; i < n && d < r.opt.MaxDelay; i++ {
+	d := redialBaseDelay
+	for i := 0; i < n && d < redialMaxDelay; i++ {
 		d *= 2
 	}
-	if d > r.opt.MaxDelay {
-		d = r.opt.MaxDelay
+	if d > redialMaxDelay {
+		d = redialMaxDelay
 	}
-	return time.Duration(r.opt.Rand() * float64(d))
+	return time.Duration(r.jitter() * float64(d))
 }
 
 // client returns a live Client, dialing if necessary. Exactly one
@@ -217,20 +216,26 @@ func (r *ReconnectClient) dropConn(c *Client) {
 	}
 }
 
-// do runs op against the current client, condemning the connection on a
-// connection-class failure so the next call redials.
-func (r *ReconnectClient) do(op func(*Client) error) error {
-	c, err := r.client()
-	if err != nil {
-		return err
-	}
-	if err := op(c); err != nil {
-		if connErr(err) {
-			r.dropConn(c)
+// do runs op against the current client. A connection-class failure
+// condemns the connection so the next call redials; an idempotent op is
+// then re-issued on the fresh connection, reissueAttempts tries in all.
+// Errors from client() itself (closed, sticky give-up) are final.
+func (r *ReconnectClient) do(idempotent bool, op func(*Client) error) error {
+	for attempt := 1; ; attempt++ {
+		c, err := r.client()
+		if err != nil {
+			return err
 		}
-		return err
+		err = op(c)
+		if !connErr(err) {
+			return err
+		}
+		r.dropConn(c)
+		if !idempotent || attempt == reissueAttempts {
+			return err
+		}
+		r.count("ssp.reconnect.retries")
 	}
-	return nil
 }
 
 // Close shuts the wrapper down; subsequent calls fail with ErrShutdown.
@@ -253,13 +258,13 @@ func (r *ReconnectClient) Close() error {
 
 // Ping checks liveness through the current (or a fresh) connection.
 func (r *ReconnectClient) Ping() error {
-	return r.do(func(c *Client) error { return c.Ping() })
+	return r.do(false, func(c *Client) error { return c.Ping() })
 }
 
-// Get implements BlobStore.
+// Get implements BlobStore (re-issued).
 func (r *ReconnectClient) Get(ns wire.NS, key string) ([]byte, error) {
 	var val []byte
-	err := r.do(func(c *Client) error {
+	err := r.do(true, func(c *Client) error {
 		v, err := c.Get(ns, key)
 		val = v
 		return err
@@ -267,20 +272,20 @@ func (r *ReconnectClient) Get(ns wire.NS, key string) ([]byte, error) {
 	return val, err
 }
 
-// Put implements BlobStore.
+// Put implements BlobStore (never re-issued).
 func (r *ReconnectClient) Put(ns wire.NS, key string, val []byte) error {
-	return r.do(func(c *Client) error { return c.Put(ns, key, val) })
+	return r.do(false, func(c *Client) error { return c.Put(ns, key, val) })
 }
 
-// Delete implements BlobStore.
+// Delete implements BlobStore (re-issued: deletes converge).
 func (r *ReconnectClient) Delete(ns wire.NS, key string) error {
-	return r.do(func(c *Client) error { return c.Delete(ns, key) })
+	return r.do(true, func(c *Client) error { return c.Delete(ns, key) })
 }
 
-// List implements BlobStore.
+// List implements BlobStore (re-issued).
 func (r *ReconnectClient) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 	var items []wire.KV
-	err := r.do(func(c *Client) error {
+	err := r.do(true, func(c *Client) error {
 		its, err := c.List(ns, prefix)
 		items = its
 		return err
@@ -288,10 +293,10 @@ func (r *ReconnectClient) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 	return items, err
 }
 
-// BatchGet implements BlobStore.
+// BatchGet implements BlobStore (re-issued).
 func (r *ReconnectClient) BatchGet(req []wire.KV) ([]wire.KV, error) {
 	var items []wire.KV
-	err := r.do(func(c *Client) error {
+	err := r.do(true, func(c *Client) error {
 		its, err := c.BatchGet(req)
 		items = its
 		return err
@@ -299,15 +304,15 @@ func (r *ReconnectClient) BatchGet(req []wire.KV) ([]wire.KV, error) {
 	return items, err
 }
 
-// BatchPut implements BlobStore.
+// BatchPut implements BlobStore (never re-issued).
 func (r *ReconnectClient) BatchPut(items []wire.KV) error {
-	return r.do(func(c *Client) error { return c.BatchPut(items) })
+	return r.do(false, func(c *Client) error { return c.BatchPut(items) })
 }
 
-// Stats implements BlobStore.
+// Stats implements BlobStore (re-issued).
 func (r *ReconnectClient) Stats() (Stats, error) {
 	var st Stats
-	err := r.do(func(c *Client) error {
+	err := r.do(true, func(c *Client) error {
 		s, err := c.Stats()
 		st = s
 		return err
@@ -320,8 +325,7 @@ func (r *ReconnectClient) Stats() (Stats, error) {
 var jitterSeq atomic.Uint64
 
 // newJitterRand returns a splitmix64-backed uniform [0,1) source. Quality
-// far exceeds what backoff jitter needs; determinism-sensitive callers
-// (tests, the chaos harness) inject their own Rand instead.
+// far exceeds what backoff jitter needs.
 func newJitterRand() func() float64 {
 	var mu sync.Mutex
 	state := 0x9e3779b97f4a7c15 * (jitterSeq.Add(1) + 0x243f6a8885a308d3)

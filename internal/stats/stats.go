@@ -13,7 +13,6 @@ package stats
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/sharoes/sharoes/internal/obs"
@@ -183,55 +182,4 @@ func BreakdownFrom(op string, a, b Snapshot, wallTotal time.Duration) OpBreakdow
 		other = 0
 	}
 	return OpBreakdown{Op: op, Network: d.Network, Crypto: d.Crypto, Other: other}
-}
-
-// Clock abstracts time measurement so simulations can substitute virtual
-// time. The package-level functions use the real clock.
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-}
-
-// RealClock is the wall clock.
-type RealClock struct{}
-
-// Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
-
-// Sleep implements Clock.
-func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// Counter is a simple named monotonic counter set, used by the SSP server
-// to expose storage statistics for the Scheme-1/Scheme-2 experiment.
-type Counter struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
-
-// Add increments name by delta.
-func (c *Counter) Add(name string, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[name] += delta
-}
-
-// Get returns the current value of name.
-func (c *Counter) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// All returns a copy of every counter.
-func (c *Counter) All() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
 }

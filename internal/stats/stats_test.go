@@ -132,27 +132,3 @@ func TestSnapshotString(t *testing.T) {
 		t.Errorf("String = %q", str)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("objects", 5)
-	c.Add("objects", 3)
-	c.Add("bytes", 100)
-	if c.Get("objects") != 8 || c.Get("bytes") != 100 || c.Get("missing") != 0 {
-		t.Errorf("counter values wrong: %v", c.All())
-	}
-	all := c.All()
-	all["objects"] = 0 // must be a copy
-	if c.Get("objects") != 8 {
-		t.Error("All returned live map")
-	}
-}
-
-func TestRealClock(t *testing.T) {
-	var c Clock = RealClock{}
-	before := c.Now()
-	c.Sleep(time.Millisecond)
-	if !c.Now().After(before) {
-		t.Error("clock did not advance")
-	}
-}

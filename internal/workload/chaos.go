@@ -3,7 +3,9 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -11,15 +13,14 @@ import (
 
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/obs"
-	"github.com/sharoes/sharoes/internal/resilience"
 	"github.com/sharoes/sharoes/internal/shard"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
 // The chaos campaign drives the full self-healing transport stack —
-// write-behind over classified retries over a replicated shard.Store over
-// reconnecting clients over fault-injecting SSPs — while a seeded
+// write-behind over a replicated shard.Store over reconnecting clients
+// (which re-issue failed reads) over fault-injecting SSPs — while a seeded
 // scheduler cuts connections, arms slow and write-refusing windows, and
 // flaps links. It then proves three properties: every key whose barrier
 // acked is readable with its exact value once faults clear (model
@@ -29,9 +30,9 @@ import (
 
 // Chaos profiles select the injection mix.
 const (
-	ChaosMixed = "mixed" // everything below, uniformly
-	ChaosDrops = "drops" // severs and flap windows only
-	ChaosSlow  = "slow"  // straggler windows only
+	ChaosMixed = "mixed"  // everything below, uniformly
+	ChaosDrops = "drops"  // severs and flap windows only
+	ChaosSlow  = "slow"   // straggler windows only
 	ChaosWrite = "writes" // write-refusal windows, sometimes quorum-wide
 )
 
@@ -78,10 +79,8 @@ func (o *ChaosOptions) defaults() {
 const chaosNS = wire.NSData
 
 // chaosVal derives the deterministic value of a campaign key: every
-// writer produces identical bytes for a given key, which both makes the
-// keys content-addressed (so the retry layer may vouch Put idempotent)
-// and lets the convergence check recompute expected values from key
-// names alone.
+// writer produces identical bytes for a given key, so the convergence
+// check can recompute expected values from key names alone.
 func chaosVal(key string) []byte {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(key); i++ {
@@ -101,13 +100,31 @@ func chaosVal(key string) []byte {
 }
 
 // chaosClassified reports whether a campaign-surfaced error belongs to a
-// sanctioned, errors.Is-matchable failure family. Anything else is an
-// anonymous failure and fails the campaign.
+// sanctioned, errors.Is-matchable failure family: a quorum miss, a remote
+// status, the reconnect give-up, or (unless it is a per-key not-found)
+// a transient class — a call deadline, a shut-down client, an injected
+// write fault, a dropped or closed connection, a net timeout. Anything
+// else, wire.ErrBadMessage included, is an anonymous failure and fails
+// the campaign.
 func chaosClassified(err error) bool {
-	return resilience.Transient(err) ||
-		errors.Is(err, shard.ErrQuorum) ||
+	if errors.Is(err, shard.ErrQuorum) ||
 		errors.Is(err, wire.ErrRemote) ||
-		errors.Is(err, ssp.ErrReconnectFailed)
+		errors.Is(err, ssp.ErrReconnectFailed) {
+		return true
+	}
+	if err == nil || errors.Is(err, wire.ErrNotFound) {
+		return false
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return true
+	}
+	return errors.Is(err, ssp.ErrDeadline) ||
+		errors.Is(err, ssp.ErrShutdown) ||
+		errors.Is(err, ssp.ErrInjectedWrite) ||
+		errors.Is(err, io.EOF) ||
+		errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed)
 }
 
 // chaosBackend is one SSP of the campaign stack.
@@ -166,19 +183,15 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build shard store: %w", err)
 	}
-	// Campaign keys are content-addressed by construction (chaosVal), so
-	// the retry layer may vouch every Put idempotent.
-	res := resilience.NewStore(sh, resilience.Policy{Registry: reg},
-		func(wire.NS, string) bool { return true })
 	// One write-behind lane per worker: a WriteBehind surfaces a flush
 	// failure exactly once, to whichever caller barriers first, so a
 	// shared instance would let worker A's barrier consume the error that
 	// voided worker B's window — and B would then wrongly ack it. Private
 	// instances give each worker exact attribution; they still share the
-	// retry/shard/reconnect stack below.
+	// shard/reconnect stack below.
 	wbs := make([]*ssp.WriteBehind, opts.Workers)
 	for i := range wbs {
-		wbs[i] = ssp.NewWriteBehind(res, ssp.WriteBehindOptions{Registry: reg})
+		wbs[i] = ssp.NewWriteBehind(sh, ssp.WriteBehindOptions{Registry: reg})
 	}
 
 	putLat := reg.Histogram("chaos.put.ns")
@@ -204,7 +217,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 	deadline := time.Now().Add(opts.Duration)
 	var wg sync.WaitGroup
 
-	// Writers: content-addressed puts in barriered windows, with reads of
+	// Writers: deterministic-value puts in barriered windows, with reads of
 	// already-durable keys mixed in.
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -265,7 +278,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 						// Durable keys are flushed by definition; read the
 						// shared stack directly below the write-behind lanes.
 						start := time.Now()
-						v, err := res.Get(chaosNS, key)
+						v, err := sh.Get(chaosNS, key)
 						getLat.Observe(time.Since(start))
 						localOps++
 						switch {
@@ -393,7 +406,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 				var items []wire.KV
 				var err error
 				for attempt := 0; attempt < 3; attempt++ {
-					items, err = res.BatchGet(req)
+					items, err = sh.BatchGet(req)
 					if err == nil || !chaosClassified(err) {
 						break
 					}
@@ -487,7 +500,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 			Severs:   snap.Counters["netsim.severs"],
 			Faults:   faults,
 			Redials:  snap.Counters["ssp.reconnect.success"],
-			Retries:  snap.Counters["resilience.retry.attempts"],
+			Retries:  snap.Counters["ssp.reconnect.retries"],
 			Breaker:  snap.Counters["shard.breaker.open"],
 			Degraded: degraded,
 			Keys:     len(durable),

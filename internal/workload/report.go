@@ -72,7 +72,8 @@ type BenchReport struct {
 	// (one shard's link severed periodically).
 	ShardFault string `json:"shard_fault,omitempty"`
 	// SelfHeal records whether the self-healing transport stack
-	// (reconnecting clients + classified retries + breakers) was built.
+	// (reconnecting clients that re-issue failed reads) was built: set for
+	// the "drop" and "flap" shard faults and for chaos campaigns.
 	SelfHeal bool `json:"self_heal,omitempty"`
 	// Chaos carries the chaos-campaign verdict for figure "chaos" runs.
 	Chaos *ChaosSummary `json:"chaos,omitempty"`
@@ -91,7 +92,7 @@ type ChaosSummary struct {
 	Severs   int64  `json:"severs"`   // connection severs injected
 	Faults   int64  `json:"faults"`   // fault-window arms (slow/writeerr)
 	Redials  int64  `json:"redials"`  // successful reconnects
-	Retries  int64  `json:"retries"`  // resilience-layer retries issued
+	Retries  int64  `json:"retries"`  // reads re-issued by the reconnecting clients (ssp.reconnect.retries)
 	Breaker  int64  `json:"breaker"`  // breaker open transitions
 	Degraded int64  `json:"degraded"` // barriers surfacing classified errors
 	// Keys is how many durable keys the convergence check verified;

@@ -140,6 +140,51 @@ func TestShardedPostmarkHedgesPastSlowShard(t *testing.T) {
 	}
 }
 
+// Figure 9 under the connection fault scenarios: shard s0's connections
+// are severed once ("drop") or every ShardFlapEvery operations ("flap")
+// after bootstrap. The reconnecting clients must redial and re-issue the
+// severed reads, so the parallel write-behind Create-and-List completes
+// with every file created and listed.
+func TestShardedCreateListSurvivesConnFaults(t *testing.T) {
+	for _, fault := range []string{"drop", "flap"} {
+		t.Run(fault, func(t *testing.T) {
+			opts := shardOpts()
+			opts.Parallel = 2
+			opts.WriteBehind = true
+			opts.ShardFault = fault
+			sys, err := Build(SysSharoes, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+
+			cfg := PaperCreateList.Scaled(25) // 20 files over 1 dir
+			res, err := CreateListN(sys, cfg, 2)
+			if err != nil {
+				t.Fatalf("create-and-list under shard fault %s: %v", fault, err)
+			}
+			if int(res.CreateLat.Count) != cfg.Files {
+				t.Fatalf("created %d files, want %d", res.CreateLat.Count, cfg.Files)
+			}
+			if int(res.ListLat.Count) != cfg.Files {
+				t.Fatalf("listed %d files, want %d", res.ListLat.Count, cfg.Files)
+			}
+			if sys.Faults[0].Triggered() == 0 {
+				t.Error("shard s0 was never severed; the fault scenario did not bite")
+			}
+			if n := sys.Metrics.Counter("ssp.reconnect.success").Value(); n == 0 {
+				t.Error("no redial ever succeeded after a sever")
+			}
+			// The one-shot drop fires on s0's first operation after
+			// bootstrap, a mount read, whose reply dies on the cut link.
+			// (A flap may land on writes only, which are never re-issued.)
+			if n := sys.Metrics.Counter("ssp.reconnect.retries").Value(); fault == "drop" && n == 0 {
+				t.Error("the read severed by the drop was never re-issued")
+			}
+		})
+	}
+}
+
 // A baseline system must build and run sharded too — the shard layer
 // sits below the metadata schemes, so every system gains it for free.
 func TestShardedBaselineRuns(t *testing.T) {

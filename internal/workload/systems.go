@@ -21,7 +21,6 @@ import (
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/obs"
-	"github.com/sharoes/sharoes/internal/resilience"
 	"github.com/sharoes/sharoes/internal/shard"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/stats"
@@ -161,17 +160,14 @@ type Options struct {
 	// shard), "slow" (every read delayed ShardFaultDelay — a straggler),
 	// "drop" (every live connection to s0 severed once, mid-run), "flap"
 	// (s0's link severed repeatedly, every ShardFlapEvery operations).
-	// The connection scenarios imply SelfHeal: a severed link would
-	// otherwise permanently kill the run's only connection to s0.
+	// The connection scenarios build the self-healing stack: every
+	// per-shard connection becomes an ssp.ReconnectClient (redial with
+	// backoff, per-call deadline SelfHealTimeout, reads re-issued on the
+	// fresh connection), since a severed link would otherwise permanently
+	// kill the run's only connection to s0. Writes are never re-issued;
+	// their fault tolerance stays with the shard quorum and the
+	// write-behind sticky-error path.
 	ShardFault string
-	// SelfHeal builds the self-healing transport stack: every per-shard
-	// connection becomes a ReconnectClient (redial with backoff after a
-	// connection-class failure, per-call deadline SelfHealTimeout) wrapped
-	// in a resilience.Store that retries reads on transient errors.
-	// Writes are not retried here — the filesystem's keys are not
-	// content-addressed — so write fault-tolerance stays with the shard
-	// quorum and the write-behind sticky-error path.
-	SelfHeal bool
 }
 
 // ShardFaultDelay is the injected per-read latency of the "slow"
@@ -183,8 +179,14 @@ const ShardFaultDelay = 20 * time.Millisecond
 // shard s0's link is cut on every ShardFlapEvery'th operation it serves.
 const ShardFlapEvery = 25
 
-// SelfHealTimeout is the per-call deadline the SelfHeal stack installs on
-// every dialed connection — a backstop that unsticks calls whose
+// SelfHeals reports whether the shard fault scenario builds the
+// self-healing stack: the connection scenarios "drop" and "flap".
+func SelfHeals(shardFault string) bool {
+	return shardFault == "drop" || shardFault == "flap"
+}
+
+// SelfHealTimeout is the per-call deadline the self-healing stack installs
+// on every dialed connection — a backstop that unsticks calls whose
 // responses will never arrive even when the transport does not surface
 // the loss as a closed connection.
 const SelfHealTimeout = time.Second
@@ -265,9 +267,7 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 		return nil, fmt.Errorf("workload: Trace and Parallel are mutually exclusive")
 	}
 	switch opts.ShardFault {
-	case "", "loss", "slow":
-	case "drop", "flap":
-		opts.SelfHeal = true
+	case "", "loss", "slow", "drop", "flap":
 	default:
 		return nil, fmt.Errorf("workload: unknown shard fault scenario %q", opts.ShardFault)
 	}
@@ -289,8 +289,8 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 
 	// startSSP builds one SSP: backing store, fault-injection wrapper,
 	// server, simulated link, and the client-side connection — a plain
-	// pipelined Client, or (SelfHeal) a ReconnectClient under a
-	// read-retrying resilience.Store.
+	// pipelined Client, or (a connection fault scenario) a
+	// ReconnectClient.
 	startSSP := func() (ssp.BlobStore, error) {
 		backing := ssp.NewMemStore()
 		fault := ssp.NewFaultStore(backing)
@@ -299,9 +299,10 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 		server.Observe(sys.Metrics, sys.ServerTracer)
 		lis.Observe(sys.Metrics)
 		// Connection-fault rules on this backend sever at the transport:
-		// every live conn dies, in-flight calls fail fast, and (with
-		// SelfHeal) the client redials. Armed unconditionally — the hook
-		// only fires when a conn-fault rule is armed on this FaultStore.
+		// every live conn dies, in-flight calls fail fast, and (with a
+		// ReconnectClient) the client redials. Armed unconditionally — the
+		// hook only fires when a conn-fault rule is armed on this
+		// FaultStore.
 		fault.OnSever(func() { lis.SeverConns() })
 		go func() {
 			if err := server.Serve(lis); err != nil {
@@ -311,7 +312,7 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 		sys.Backings = append(sys.Backings, backing)
 		sys.Faults = append(sys.Faults, fault)
 		sys.teardown = append(sys.teardown, func() error { return server.Close() })
-		if opts.SelfHeal {
+		if SelfHeals(opts.ShardFault) {
 			rc := ssp.NewReconnectClient(lis.Dial, ssp.ReconnectOptions{
 				CallTimeout: SelfHealTimeout,
 				Recorder:    rec,
@@ -319,9 +320,7 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 				Registry:    sys.Metrics,
 			})
 			sys.teardown = append(sys.teardown, rc.Close)
-			// Reads retry on transient classes; writes surface to the shard
-			// quorum (nil content-key predicate: FS keys are mutable).
-			return resilience.NewStore(rc, resilience.Policy{Registry: sys.Metrics}, nil), nil
+			return rc, nil
 		}
 		// The tracer rides along on Dial so even the mount-path RPCs are
 		// traced (nil when Options.Trace is off — tracing disabled).
