@@ -23,7 +23,7 @@ FUZZ_TARGETS := \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc bench-smoke check
+.PHONY: all build test fmt-check vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc bench-smoke check
 
 all: build
 
@@ -32,6 +32,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails when gofmt would change any tracked .go file, or cannot
+# parse one. testdata/ is left out: its analyzer fixtures include one
+# (brokenload) that does not parse on purpose.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l 2>&1); \
+	if [ -n "$$out" ]; then echo "$$out"; echo "fmt-check: gofmt -w the files above"; exit 1; fi
 
 # vet = the stock toolchain vet plus the repo's own invariant analyzers:
 # six security analyzers (key leaks, AAD binding, seeded randomness,
@@ -134,4 +141,4 @@ fuzz-smoke:
 		$(GO) test $$pkg -run "^$$target$$" -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
-check: build vet test race fuzz-smoke
+check: build fmt-check vet test race fuzz-smoke

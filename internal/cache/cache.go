@@ -56,26 +56,46 @@ func (c *Cache) Get(key string) (any, bool) {
 // Has reports whether key is cached without marking it used or counting
 // a hit or miss: a probe for prefetchers, not a read.
 func (c *Cache) Has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[key]
+	_, ok := c.Peek(key)
 	return ok
 }
 
-// Enabled reports whether the cache keeps anything (budget != 0).
-func (c *Cache) Enabled() bool {
+// Peek returns the cached value for key like Get, but without marking it
+// used or counting a hit or miss: prefetchers read what they plan from
+// with it.
+func (c *Cache) Peek(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.budget != 0
+	el, ok := c.m[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).val, true
+}
+
+// Enabled reports whether the cache keeps anything (budget != 0).
+func (c *Cache) Enabled() bool { return c.Budget() != 0 }
+
+// Budget returns the byte budget the cache was made with: <0 unlimited,
+// 0 disabled.
+func (c *Cache) Budget() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budget
 }
 
 // Put inserts or replaces the value for key, charging size bytes against
 // the budget and evicting least-recently-used entries as needed. Values
-// larger than the whole budget are not cached.
+// larger than the whole budget are not cached, and the value they replace
+// is dropped: a stale value must not outlive its replacement.
 func (c *Cache) Put(key string, val any, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.budget == 0 || (c.budget > 0 && size > c.budget) {
+	if c.budget == 0 {
+		return
+	}
+	if c.budget > 0 && size > c.budget {
+		c.remove(key)
 		return
 	}
 	if el, ok := c.m[key]; ok {
@@ -107,6 +127,10 @@ func (c *Cache) evictOldest() {
 func (c *Cache) Delete(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.remove(key)
+}
+
+func (c *Cache) remove(key string) {
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*entry)
 		c.ll.Remove(el)
@@ -120,12 +144,9 @@ func (c *Cache) Delete(key string) {
 func (c *Cache) DeletePrefix(prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.m {
+	for key := range c.m {
 		if strings.HasPrefix(key, prefix) {
-			e := el.Value.(*entry)
-			c.ll.Remove(el)
-			delete(c.m, key)
-			c.used -= e.size
+			c.remove(key)
 		}
 	}
 }

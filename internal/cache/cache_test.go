@@ -60,6 +60,21 @@ func TestOversizedValueNotCached(t *testing.T) {
 	}
 }
 
+// TestOversizedReplaceDropsStale: replacing a cached value with one too
+// large to cache leaves the key uncached, not holding the old value.
+func TestOversizedReplaceDropsStale(t *testing.T) {
+	c := New(100)
+	c.Put("a", "old", 10)
+	c.Put("b", "kept", 10)
+	c.Put("a", "new", 200)
+	if v, ok := c.Get("a"); ok {
+		t.Errorf("after an oversized replace, a = %v; want a miss", v)
+	}
+	if c.Used() != 10 || c.Len() != 1 {
+		t.Errorf("used=%d len=%d; want 10 and 1", c.Used(), c.Len())
+	}
+}
+
 func TestZeroBudgetDisables(t *testing.T) {
 	c := New(0)
 	c.Put("a", 1, 1)
@@ -158,7 +173,8 @@ func TestEvictionNeverExceedsBudget(t *testing.T) {
 	}
 }
 
-// TestHasIsAProbe: Has neither counts a hit or miss nor refreshes recency.
+// TestHasIsAProbe: Has and Peek neither count a hit or miss nor refresh
+// recency.
 func TestHasIsAProbe(t *testing.T) {
 	c := New(20)
 	c.Put("a", 1, 10)
@@ -166,12 +182,18 @@ func TestHasIsAProbe(t *testing.T) {
 	if !c.Has("a") || c.Has("missing") {
 		t.Fatal("Has disagrees with the contents")
 	}
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("missing"); ok {
+		t.Fatal("Peek found a missing key")
+	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("Has counted: hits=%d misses=%d", hits, misses)
 	}
 	c.Put("c", 3, 10) // a is still the oldest: Has did not refresh it
 	if c.Has("a") || !c.Has("b") {
-		t.Error("Has refreshed recency")
+		t.Error("Has or Peek refreshed recency")
 	}
 	if !c.Enabled() || New(0).Enabled() || !New(-1).Enabled() {
 		t.Error("Enabled does not match the budget")

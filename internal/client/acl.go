@@ -138,10 +138,9 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 			kvs = append(kvs, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, oldID), Delete: true})
 		}
 	}
-	kvs = append(kvs, s.sealMetaVariants(&updated)...)
-
 	// Re-route the parent's rows for this object: the grantee now
 	// diverges from (or rejoins) their class co-travellers.
+	touched := []types.Inode{r.ino}
 	if r.ino == s.root.ino {
 		sbkvs, err := s.sealSuperblocks(&updated)
 		if err != nil {
@@ -170,9 +169,13 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 			return err
 		}
 		kvs = append(kvs, pkvs...)
+		touched = append(touched, pr.ino)
 	}
 
-	return s.store.BatchPut(kvs)
+	// Sealed last: sealMetaVariants writes the new metadata through to
+	// the cache, so nothing may fail between it and the BatchPut.
+	kvs = append(kvs, s.sealMetaVariants(&updated)...)
+	return s.commit(kvs, touched...)
 }
 
 // stripACL returns attr without user's ACL entry, for computing the class

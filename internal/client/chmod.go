@@ -12,13 +12,27 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// sealMetaVariants seals every CAP copy of the metadata and invalidates
-// the local cache for the object's metadata.
+// sealMetaVariants seals every CAP copy of the metadata and writes the
+// session user's own copy through to the cache, in place of every cached
+// copy of the object's metadata: the caller is about to store exactly
+// these blobs, so the next operation on the object need not fetch its
+// own metadata back. The cached copy is cap.Filter of the same metadata
+// that was sealed into that variant's blob, so it is what opening the
+// blob would give.
 func (s *Session) sealMetaVariants(m *meta.Metadata) []wire.KV {
 	stop := s.crypto("seal-meta")
 	kvs := layout.BuildMetaKVs(s.eng, m)
 	stop()
-	s.cache.DeletePrefix(ckMeta + "m/" + fmt.Sprintf("%d/", uint64(m.Attr.Inode)))
+	ino := m.Attr.Inode
+	s.cache.DeletePrefix(ckMeta + "m/" + fmt.Sprintf("%d/", uint64(ino)))
+	v := s.eng.UserVariant(s.user.ID, m.Attr)
+	key := meta.MetaKey(ino, v.ID)
+	for _, kv := range kvs {
+		if kv.Key == key {
+			s.cache.Put(ckMeta+key, cap.Filter(m, v.Cap, v.ID), int64(len(kv.Val)))
+			break
+		}
+	}
 	return kvs
 }
 
@@ -66,13 +80,15 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 	oldGen := m.Attr.DataGen
 
 	var content []byte
+	var oldBlocks uint32
 	var tables map[string]*meta.DirTable
 	if m.Attr.Kind == types.KindFile {
 		man, err := s.fetchManifest(r, m)
 		if err != nil {
 			return nil, err
 		}
-		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+		oldBlocks = man.NBlocks
+		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -103,16 +119,12 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 			return nil, err
 		}
 		kvs = append(kvs, dkvs...)
-		// Drop the old generation's blobs.
-		old, err := s.store.List(wire.NSData, meta.BlockPrefix(r.ino, oldGen))
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range old {
-			kvs = append(kvs, wire.KV{NS: wire.NSData, Key: it.Key, Delete: true})
+		// Drop the old generation's blocks; the manifest just read names
+		// them all. The new manifest replaces the old one in place.
+		for i := uint32(0); i < oldBlocks; i++ {
+			kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.BlockKey(r.ino, oldGen, i), Delete: true})
 		}
 		s.cache.DeletePrefix(ckBlock + meta.BlockPrefix(r.ino, oldGen))
-		s.cache.Delete(ckManifest + meta.ManifestKey(r.ino))
 	} else {
 		tkvs, err := s.writeParentTables(r, m, tables)
 		if err != nil {
@@ -183,7 +195,7 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 	updated.Attr.Perm = perm
 
 	kvs = append(kvs, s.sealMetaVariants(&updated)...)
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs, r.ino)
 }
 
 // viewShapesDiffer reports whether any class's directory CAP class — and
@@ -248,6 +260,7 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 		return err
 	}
 
+	touched := []types.Inode{r.ino}
 	if r.ino == s.root.ino {
 		sbkvs, err := s.sealSuperblocks(&updated)
 		if err != nil {
@@ -279,10 +292,11 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 			return err
 		}
 		kvs = append(kvs, tkvs...)
+		touched = append(touched, pr.ino)
 	}
 
 	kvs = append(kvs, s.sealMetaVariants(&updated)...)
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs, touched...)
 }
 
 // sealSuperblocks seals one superblock per registered user for the

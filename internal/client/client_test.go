@@ -286,6 +286,28 @@ func TestOverwriteShrinksAndGrows(t *testing.T) {
 	})
 }
 
+// TestOverwriteLargerThanCache: overwriting a cached block with one too
+// large for the whole cache budget must not leave the old block cached,
+// or the next read pairs the new manifest with the old content.
+func TestOverwriteLargerThanCache(t *testing.T) {
+	schemes(t, func(t *testing.T, w *world) {
+		s, err := Mount(Config{Store: w.store, User: fixUser["alice"], Registry: fixReg, Layout: w.eng,
+			FSID: "testfs", CacheBytes: 2048, BlockSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, data := range [][]byte{[]byte("abc"), bytes.Repeat([]byte("z"), 3000)} {
+			if err := s.WriteFile("/f", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s.ReadFile("/f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after writing %d B: %d B, %v", len(data), len(got), err)
+			}
+		}
+	})
+}
+
 func TestAppend(t *testing.T) {
 	schemes(t, func(t *testing.T, w *world) {
 		alice := w.as("alice")

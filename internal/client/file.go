@@ -83,12 +83,18 @@ func (s *Session) sealFileData(m *meta.Metadata, data []byte, mtime int64) ([]wi
 }
 
 // readBlocks fetches, verifies and decrypts the blocks [from, to) of a
-// file, using the cache and batching all misses into one round trip.
-func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32) ([][]byte, error) {
+// file, taking them from have (blocks already opened by the caller, keyed
+// by number; may be nil), then the cache, and batching all misses into
+// one round trip.
+func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32, have map[uint32][]byte) ([][]byte, error) {
 	out := make([][]byte, to-from)
 	var missing []wire.KV
 	missIdx := make(map[string]int)
 	for i := from; i < to; i++ {
+		if b, ok := have[i]; ok {
+			out[i-from] = b
+			continue
+		}
 		key := meta.BlockKey(r.ino, m.Attr.DataGen, i)
 		if v, ok := s.cache.Get(ckBlock + key); ok {
 			out[i-from] = v.([]byte)
@@ -210,7 +216,7 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, data []byte) error {
 		updated.Attr.MTime = time.Now().UnixNano()
 		kvs = append(kvs, s.sealMetaVariants(&updated)...)
 	}
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs, r.ino)
 }
 
 // Append implements vfs.FS: extend a file, re-encrypting only the final
@@ -248,7 +254,7 @@ func (s *Session) appendFile(path string, data []byte) error {
 	tailOff := uint64(firstDirty) * bs
 	var tail []byte
 	if man.Size > tailOff {
-		blocks, err := s.readBlocks(r, m, man, firstDirty, firstDirty+1)
+		blocks, err := s.readBlocks(r, m, man, firstDirty, firstDirty+1, nil)
 		if err != nil {
 			return err
 		}
@@ -283,7 +289,7 @@ func (s *Session) appendFile(path string, data []byte) error {
 	stop()
 	kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan})
 	s.cache.Put(ckManifest+meta.ManifestKey(ino), newMan, int64(len(sealedMan)))
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs, ino)
 }
 
 // rotateForWrite rotates a file's data keys in place on m without

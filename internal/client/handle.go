@@ -85,8 +85,13 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 }
 
 // readFileLocked is the shared read path (ReadFile and OpenFile): resolve,
-// fetch metadata+manifest in one round trip, then the blocks.
+// fetch metadata+manifest in one round trip, then the blocks, with those
+// of the entries listed after it when it is in the last listing.
 func (s *Session) readFileLocked(path string) ([]byte, error) {
+	_, base, err := types.SplitPath(path)
+	if err != nil {
+		return nil, err
+	}
 	r, err := s.resolveRef(path)
 	if err != nil {
 		return nil, err
@@ -107,7 +112,8 @@ func (s *Session) readFileLocked(path string) ([]byte, error) {
 			return nil, err
 		}
 	}
-	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+	have := s.readAhead(r, m, man, base)
+	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, have)
 	if err != nil {
 		return nil, err
 	}

@@ -241,12 +241,6 @@ func (s *Session) createObject(path string, perm types.Perm, kind types.ObjKind,
 	stop()
 
 	var kvs []wire.KV
-
-	// Child metadata, one sealed copy per CAP variant.
-	stop = s.crypto("seal-meta")
-	kvs = append(kvs, layout.BuildMetaKVs(s.eng, child)...)
-	stop()
-
 	switch kind {
 	case types.KindDir:
 		stop = s.crypto("seal-table")
@@ -276,7 +270,12 @@ func (s *Session) createObject(path string, perm types.Perm, kind types.ObjKind,
 	}
 	kvs = append(kvs, tkvs...)
 
-	if err := s.store.BatchPut(kvs); err != nil {
+	// Child metadata, one sealed copy per CAP variant. It is sealed last,
+	// because it is written through to the cache and nothing may fail
+	// between that and the commit, but it leads the batch, ahead of the
+	// parent rows that link it.
+	kvs = append(s.sealMetaVariants(child), kvs...)
+	if err := s.commit(kvs, pr.ino, child.Attr.Inode); err != nil {
 		return nil, err
 	}
 	return child, nil
@@ -335,7 +334,7 @@ func (s *Session) remove(path string) error {
 	}
 	kvs = append(kvs, dkvs...)
 
-	if err := s.store.BatchPut(kvs); err != nil {
+	if err := s.commit(kvs, pr.ino, cm.Attr.Inode); err != nil {
 		return err
 	}
 	s.invalidateObject(cm.Attr.Inode)
@@ -482,5 +481,5 @@ func (s *Session) rename(oldPath, newPath string) error {
 		kvs = append(kvs, nkvs...)
 	}
 	kvs = append(kvs, grants...)
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs, opr.ino, npr.ino)
 }

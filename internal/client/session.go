@@ -366,3 +366,19 @@ func (s *Session) invalidateObject(ino types.Inode) {
 	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.forgetListing(ino)
 }
+
+// commit stores one operation's KVs in a single BatchPut. The operation
+// has already written what it sealed through to the cache (blocks,
+// manifests, directory tables, its own metadata copy); if the store
+// refuses the batch, the cached state of the objects inos it touched is
+// dropped, so the session reads back what the store holds rather than
+// what it failed to store.
+func (s *Session) commit(kvs []wire.KV, inos ...types.Inode) error {
+	err := s.store.BatchPut(kvs)
+	if err != nil {
+		for _, ino := range inos {
+			s.invalidateObject(ino)
+		}
+	}
+	return err
+}

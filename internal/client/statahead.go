@@ -31,6 +31,22 @@ func (s *Session) forgetListing(ino types.Inode) {
 	}
 }
 
+// listedAt returns the index of r, named name, among the rows of the last
+// listing, or false when that listing does not hold it as a direct
+// (non-split) row.
+func (s *Session) listedAt(r ref, name string) (int, bool) {
+	l := s.listing
+	if l == nil {
+		return 0, false
+	}
+	i := sort.Search(len(l.rows), func(i int) bool { return l.rows[i].Name >= name })
+	if i == len(l.rows) || l.rows[i].Name != name || l.rows[i].Inode != r.ino ||
+		l.rows[i].Variant != r.variant || l.rows[i].Split {
+		return 0, false
+	}
+	return i, true
+}
+
 // statAhead is the stat-ahead of Lustre and the READDIRPLUS of NFS, done
 // with the keys Sharoes already hands out in band. When r, named name, is
 // an entry of the last listing and its metadata is not cached, one
@@ -41,18 +57,17 @@ func (s *Session) forgetListing(ino types.Inode) {
 // that fails verification is not cached, and a failed batch changes
 // nothing, so statFetch then fetches r alone and reports what it finds.
 func (s *Session) statAhead(r ref, name string) {
-	l := s.listing
-	if l == nil || !s.cache.Enabled() || s.cache.Has(ckMeta+meta.MetaKey(r.ino, r.variant)) {
+	if !s.cache.Enabled() || s.cache.Has(ckMeta+meta.MetaKey(r.ino, r.variant)) {
 		return
 	}
-	i := sort.Search(len(l.rows), func(i int) bool { return l.rows[i].Name >= name })
-	if i == len(l.rows) || l.rows[i].Name != name || l.rows[i].Inode != r.ino ||
-		l.rows[i].Variant != r.variant || l.rows[i].Split {
+	i, ok := s.listedAt(r, name)
+	if !ok {
 		return
 	}
+	rows := s.listing.rows
 	var batch []ref
 	var keys []wire.KV
-	for _, e := range l.rows[i:min(i+statAheadWindow, len(l.rows))] {
+	for _, e := range rows[i:min(i+statAheadWindow, len(rows))] {
 		if e.Split || s.cache.Has(ckMeta+meta.MetaKey(e.Inode, e.Variant)) {
 			continue
 		}

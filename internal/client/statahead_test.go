@@ -17,15 +17,17 @@ import (
 )
 
 // probeStore wraps a BlobStore to count the store calls a session makes,
-// record the key count of every BatchGet, and fail manifest reads with a
-// chosen error.
+// record the key count of every BatchGet, count List calls, and fail
+// manifest reads or BatchPuts with a chosen error.
 type probeStore struct {
 	ssp.BlobStore
 
 	mu          sync.Mutex
 	calls       int
 	batches     []int // keys per BatchGet, in call order
+	lists       int
 	manifestErr error
+	putErr      error
 }
 
 // note counts one store call; batchGetKeys > 0 records a BatchGet.
@@ -80,7 +82,24 @@ func (p *probeStore) BatchGet(items []wire.KV) ([]wire.KV, error) {
 
 func (p *probeStore) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 	p.note(0)
+	p.mu.Lock()
+	p.lists++
+	p.mu.Unlock()
 	return p.BlobStore.List(ns, prefix)
+}
+
+// listCalls returns the number of List calls so far.
+func (p *probeStore) listCalls() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lists
+}
+
+// failPuts makes every BatchPut fail with err (nil: succeed again).
+func (p *probeStore) failPuts(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.putErr = err
 }
 
 func (p *probeStore) Put(ns wire.NS, key string, val []byte) error {
@@ -95,6 +114,12 @@ func (p *probeStore) Delete(ns wire.NS, key string) error {
 
 func (p *probeStore) BatchPut(items []wire.KV) error {
 	p.note(0)
+	p.mu.Lock()
+	err := p.putErr
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return p.BlobStore.BatchPut(items)
 }
 

@@ -83,7 +83,7 @@ func (s *Session) verifyWalk(path string, r ref, report *VerifyReport) {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return
 		}
-		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, nil)
 		if err != nil {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return

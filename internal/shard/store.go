@@ -210,8 +210,8 @@ func (s *Store) RouteID(ns wire.NS, key string) int {
 // replicaSet resolves (ns, key) to its replica backends under the
 // current ring, plus any old-ring fallback replicas during a rebalance.
 type replicaSet struct {
-	ids    []string         // new-ring replicas, primary first
-	olds   []string         // old-ring replicas not already in ids (rebalance only)
+	ids    []string // new-ring replicas, primary first
+	olds   []string // old-ring replicas not already in ids (rebalance only)
 	stores map[string]ssp.BlobStore
 }
 
